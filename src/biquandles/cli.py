@@ -22,7 +22,7 @@ import sys
 
 from .cohomology import (CochainClass, classify_cochain, format_cochain,
                          read_cochain, reduced_cohomology_basis, write_cochain)
-from .coloring import counting_invariant, enumerate_colorings
+from .coloring import SearchLimitError, counting_invariant, enumerate_colorings
 from .core import (BlockConvention, ParseError, alexander_biquandle,
                    read_biquandle, validate_biquandle, write_biquandle)
 from .gauss import parse_gauss_code, serialize_gauss_code
@@ -41,6 +41,13 @@ def _field(text: str) -> FieldSpec:
         return FieldSpec.from_name(text)
     except ValueError as e:
         raise DomainError(str(e))
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _convention(text: str) -> BlockConvention:
@@ -230,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--field", type=_field, default=FieldSpec.from_name("Q"),
                            metavar="{Q|Zp:<prime>}", help="coefficient field")
         if jobs:
-            p.add_argument("--jobs", type=int, default=1,
+            p.add_argument("--jobs", type=_positive_int, default=1,
                            help="worker processes for the coloring search")
 
     p = sub.add_parser("validate", help="check a biquandle file")
@@ -293,7 +300,7 @@ def main(argv=None) -> int:
     except DomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except FileNotFoundError as e:
+    except (FileNotFoundError, SearchLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except ValueError as e:

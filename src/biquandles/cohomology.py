@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .core import Biquandle, ParseError, kink_witnesses
 from .linalg import ExactMatrix, FieldSpec, RankTracker, in_span, kernel_basis, matvec, rref
@@ -43,9 +43,13 @@ class Cochain2:
     field: FieldSpec
     coeffs: tuple  # length n^2, index (x-1)*n + (y-1)
 
+    def __post_init__(self):
+        if isqrt(len(self.coeffs)) ** 2 != len(self.coeffs):
+            raise ValueError(f"{len(self.coeffs)} coefficients is not n^2 for any n")
+
     @property
     def n(self) -> int:
-        return int(len(self.coeffs) ** 0.5 + 0.5)
+        return isqrt(len(self.coeffs))
 
     def value(self, x: int, y: int):
         return self.coeffs[(x - 1) * self.n + (y - 1)]
@@ -66,25 +70,22 @@ def zero_cochain(n: int, field: FieldSpec) -> Cochain2:
 
 
 def cocycle_matrix(T: Biquandle, field: FieldSpec) -> ExactMatrix:
-    """n^3 x n^2 matrix of the cocycle condition, one row per triple
+    """n^3 x n^2 matrix of the cocycle condition, one sparse row per triple
     (x, y, z) in lexicographic order; contributions accumulate."""
     n = T.n
+    up, down = T.up, T.down
+    coerce = field.coerce
     rows = []
     for x in range(1, n + 1):
         for y in range(1, n + 1):
             for z in range(1, n + 1):
-                row = [0] * (n * n)
-
-                def bump(a, b, delta):
-                    row[(a - 1) * n + (b - 1)] += delta
-
-                bump(x, y, 1)
-                bump(T.up(x, y), z, 1)
-                bump(T.down(y, x), T.down(z, T.up(x, y)), 1)
-                bump(x, T.down(z, y), -1)
-                bump(y, z, -1)
-                bump(T.up(x, T.down(z, y)), T.up(y, z), -1)
-                rows.append([field.coerce(v) for v in row])
+                xy, zy = up(x, y), down(z, y)
+                row: dict[int, int] = {}
+                for a, b, delta in ((x, y, 1), (xy, z, 1), (down(y, x), down(z, xy), 1),
+                                    (x, zy, -1), (y, z, -1), (up(x, zy), up(y, z), -1)):
+                    k = (a - 1) * n + (b - 1)
+                    row[k] = row.get(k, 0) + delta
+                rows.append({k: c for k, c in ((k, coerce(v)) for k, v in row.items()) if c})
     return ExactMatrix(n ** 3, n * n, rows)
 
 
@@ -115,8 +116,9 @@ def coboundary_basis(T: Biquandle, field: FieldSpec) -> list[Cochain2]:
         lam = Cochain1(field, tuple(field.one() if i == a - 1 else field.zero()
                                     for i in range(n)))
         images.append(list(coboundary_of(T, lam).coeffs))
-    R, pivots = rref(ExactMatrix(n, n * n, images), field)
-    return [Cochain2(field, tuple(R.data[i])) for i in range(len(pivots))]
+    R, pivots = rref(ExactMatrix.from_rows(images, field), field)
+    return [Cochain2(field, tuple(R.entries[i].get(k, field.zero()) for k in range(n * n)))
+            for i in range(len(pivots))]
 
 
 def cohomology_basis(T: Biquandle, field: FieldSpec) -> list[Cochain2]:
@@ -174,12 +176,8 @@ def reduced_cohomology_basis(T: Biquandle, field: FieldSpec) -> list[Cochain2]:
     primitive integer vector with positive leading entry.
     """
     n = T.n
-    M = cocycle_matrix(T, field)
-    rows = [row[:] for row in M.data]
-    for x, y in ri_constraint_pairs(T):
-        row = [field.zero()] * (n * n)
-        row[(x - 1) * n + (y - 1)] = field.one()
-        rows.append(row)
+    rows = cocycle_matrix(T, field).entries
+    rows += [{(x - 1) * n + (y - 1): field.one()} for x, y in ri_constraint_pairs(T)]
     stacked = ExactMatrix(len(rows), n * n, rows)
 
     tracker = RankTracker(field, n * n)

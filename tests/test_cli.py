@@ -8,7 +8,7 @@ import pytest
 
 from biquandles.cli import main
 from biquandles.core import (BlockConvention, alexander_biquandle,
-                             read_biquandle, validate_biquandle)
+                             read_biquandle, validate_biquandle, write_biquandle)
 
 BQ = "data/kishinoT.bq"  # fixtures hand us absolute paths; commands get strings
 
@@ -189,6 +189,25 @@ def test_colorings_show_presentation(run, data_dir):
     assert "  1^4=2" in lines
     assert "reduced (2 generators):" in lines
     assert lines[-1] == "4"
+
+
+def test_colorings_search_too_large(run, data_dir, tmp_path):
+    big = tmp_path / "a50.bq"
+    big.write_text(write_biquandle(alexander_biquandle(50, 3, 7)))
+    rc, out, err = run("colorings", "--count-only",
+                       "--code", str(data_dir / "conway.gauss"), "--biquandle", str(big))
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: search too large: 50^5")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+def test_jobs_must_be_positive(run, data_dir, jobs):
+    rc, out, err = run("colorings", "--jobs", jobs,
+                       "--code", str(data_dir / "unknot.gauss"),
+                       "--biquandle", str(data_dir / "kishinoT.bq"))
+    assert (rc, out) == (2, "")
+    assert "--jobs" in err
 
 
 # --- invariant and suite -----------------------------------------------------

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from biquandles.cohomology import (Cochain1, ClassifiedCochain, CochainClass,
+from biquandles.cohomology import (Cochain1, Cochain2, ClassifiedCochain, CochainClass,
                                    classify_cochain, coboundary_basis,
                                    coboundary_of, cochain2_from_pairs,
                                    cocycle_matrix, cohomology_basis,
@@ -65,6 +65,14 @@ def test_reduced_dims_mod_p(kishino_T):
         assert is_ri_reduced(kishino_T, v)
 
 
+@pytest.mark.parametrize("n,s,t,reduced,unreduced", [
+    (7, 2, 3, 0, 1), (9, 2, 4, 0, 1), (10, 3, 7, 22, 28)])
+def test_alexander_h2_dimensions_over_q(n, s, t, reduced, unreduced):
+    A = alexander_biquandle(n, s, t)
+    assert len(reduced_cohomology_basis(A, Q)) == reduced
+    assert len(cohomology_basis(A, Q)) == unreduced
+
+
 def test_unreduced_h2(kishino_T):
     basis = cohomology_basis(kishino_T, Q)
     assert len(basis) == 3
@@ -79,6 +87,7 @@ def test_unreduced_h2(kishino_T):
 def test_cocycle_matrix_shape(kishino_T):
     M = cocycle_matrix(kishino_T, Q)
     assert (M.rows, M.cols) == (64, 16)
+    assert all(len(row) <= 6 and all(row.values()) for row in M.entries)
     A = alexander_biquandle(3, 1, 2)
     M3 = cocycle_matrix(A, F5)
     assert (M3.rows, M3.cols) == (27, 9)
@@ -145,6 +154,14 @@ def test_cochain_accessors():
     assert v.value(1, 1) == 0
     with pytest.raises(ValueError, match="outside"):
         cochain2_from_pairs(3, Q, {(0, 1): 1})
+
+
+def test_cochain_length_must_be_a_square():
+    assert Cochain2(Q, (Q.zero(),) * 16).n == 4
+    assert Cochain2(Q, ()).n == 0
+    for length in (2, 5, 15, 17):
+        with pytest.raises(ValueError, match="not n\\^2"):
+            Cochain2(Q, (Q.zero(),) * length)
 
 
 def test_format_cochain_cases():

@@ -1,11 +1,149 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from biquandles.linalg import (QQ, ExactMatrix, FieldSpec, RankTracker,
+from biquandles.linalg import (MODULAR_PRIME, QQ, ExactMatrix, FieldSpec,
+                               RankTracker, _is_prime, _modular_kernel_basis,
                                in_span, kernel_basis, matvec, rank, rref)
 
+F2 = FieldSpec(2)
 F5 = FieldSpec(5)
+FBIG = FieldSpec(MODULAR_PRIME)
+
+
+# -- dense reference ----------------------------------------------------------
+
+
+def reference_rref(rows: list, F: FieldSpec) -> tuple[list[list], list[int]]:
+    """Dense Gauss-Jordan elimination, the reference for the sparse kernel.
+
+    Pivot selection is the first nonzero entry top-down in each column,
+    left to right.  Returns (dense R, pivot columns 1-based ascending).
+    """
+    data = [[F.coerce(v) for v in row] for row in rows]
+    n_rows, n_cols = len(data), len(data[0]) if data else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(n_cols):
+        if r >= n_rows:
+            break
+        pr = next((i for i in range(r, n_rows) if data[i][c]), None)
+        if pr is None:
+            continue
+        data[r], data[pr] = data[pr], data[r]
+        inv = F.inv(data[r][c])
+        data[r] = [F.mul(inv, v) for v in data[r]]
+        for i in range(n_rows):
+            if i != r and data[i][c]:
+                f = data[i][c]
+                data[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(data[i], data[r])]
+        pivots.append(c + 1)
+        r += 1
+    return data, pivots
+
+
+def reference_kernel(rows: list, n_cols: int, F: FieldSpec) -> list[tuple]:
+    R, pivots = reference_rref(rows, F)
+    basis = []
+    for fc in (c for c in range(n_cols) if c + 1 not in pivots):
+        v = [F.zero()] * n_cols
+        v[fc] = F.one()
+        for r, pc in enumerate(pivots):
+            v[pc - 1] = F.neg(R[r][fc])
+        basis.append(tuple(v))
+    return basis
+
+
+def random_rows(rng: random.Random, F: FieldSpec, n_rows: int, n_cols: int) -> list[list]:
+    """Sparse random rows over F, with zero rows and rows that are
+    combinations of earlier ones mixed in."""
+    def entry():
+        if rng.random() < 0.6:
+            return 0
+        if F.is_rational:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        return rng.randrange(F.p)
+
+    rows: list[list] = []
+    for _ in range(n_rows):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append([0] * n_cols)
+        elif kind < 0.45 and len(rows) >= 2:
+            a, b = rng.sample(rows, 2)
+            f, g = F.coerce(entry() or 1), F.coerce(entry() or 1)
+            rows.append([F.add(F.mul(f, F.coerce(x)), F.mul(g, F.coerce(y)))
+                         for x, y in zip(a, b)])
+        else:
+            rows.append([entry() for _ in range(n_cols)])
+    return rows
+
+
+FIELDS = [QQ, F2, F5, FBIG]
+SEEDS = range(12)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=lambda F: F.name())
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sparse_elimination_matches_reference(F, seed):
+    rng = random.Random(seed)
+    n_rows, n_cols = rng.randint(1, 9), rng.randint(1, 9)
+    rows = random_rows(rng, F, n_rows, n_cols)
+    M = ExactMatrix.from_rows(rows, F)
+    ref_R, ref_pivots = reference_rref(rows, F)
+
+    R, pivots = rref(M, F)
+    assert (R.rows, R.cols) == (n_rows, n_cols)
+    assert (R.data, pivots) == (ref_R, ref_pivots)
+    assert rank(M, F) == len(ref_pivots)
+    assert kernel_basis(M, F) == reference_kernel(rows, n_cols, F)
+
+    tracker = RankTracker(F, n_cols)
+    prefix_ranks = [len(reference_rref(rows[:k], F)[1]) for k in range(n_rows + 1)]
+    for k, row in enumerate(rows):
+        assert tracker.add(row) == (prefix_ranks[k + 1] > prefix_ranks[k])
+    assert tracker.rank == len(ref_pivots)
+
+    for v in (rows[-1], random_rows(rng, F, 1, n_cols)[0]):
+        expected = len(reference_rref(rows + [v], F)[1]) == len(ref_pivots)
+        assert in_span(rows, v, F) == expected
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_modular_kernel_is_certified_on_integer_matrices(seed):
+    rng = random.Random(seed)
+    n_rows, n_cols = rng.randint(1, 8), rng.randint(2, 9)
+    rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 7)) for _ in range(n_cols)]
+            for _ in range(n_rows)]
+    rows.append([sum(r[c] for r in rows) for c in range(n_cols)])  # a dependent row
+    M = ExactMatrix.from_rows(rows, QQ)
+    expected = reference_kernel(rows, n_cols, QQ)
+    assert _modular_kernel_basis(M) == expected
+    assert kernel_basis(M, QQ) == expected
+
+
+def test_modular_kernel_lifts_fractions():
+    rows = [[2, 1, 0], [0, 3, 1]]
+    basis = _modular_kernel_basis(ExactMatrix.from_rows(rows, QQ))
+    assert basis == [(Fraction(1, 6), Fraction(-1, 3), 1)]
+    assert basis == reference_kernel(rows, 3, QQ)
+
+
+@pytest.mark.parametrize("rows", [
+    [[2 ** 40 + 1, 1]],                   # -1/(2^40+1) has no small reconstruction
+    [[MODULAR_PRIME, 0], [0, 1]],         # rank 2 over Q, 1 mod the prime
+    [[1, 1], [1, 1 + MODULAR_PRIME]],     # (-1, 1) is a kernel vector only mod the prime
+])
+def test_modular_kernel_falls_back_to_exact(rows):
+    M = ExactMatrix.from_rows(rows, QQ)
+    assert _modular_kernel_basis(M) is None
+    assert kernel_basis(M, QQ) == reference_kernel(rows, len(rows[0]), QQ)
+
+
+def test_kernel_of_non_integer_matrix_is_exact():
+    rows = [[Fraction(1, 2), Fraction(1, 3), 0], [0, 0, Fraction(5, 7)]]
+    assert kernel_basis(ExactMatrix.from_rows(rows, QQ), QQ) == reference_kernel(rows, 3, QQ)
 
 
 def test_field_names():
@@ -26,6 +164,26 @@ def test_prime_check():
         FieldSpec(1)
     FieldSpec(2)
     FieldSpec(97)
+
+
+def test_large_primes_and_pseudoprimes():
+    FieldSpec(100000000000031)
+    FieldSpec(2 ** 61 - 1)
+    # 561 is a Carmichael number; 3215031751 a strong pseudoprime to 2, 3, 5, 7
+    for composite in (1, 561, 3215031751, 10007 ** 2):
+        with pytest.raises(ValueError, match="not prime"):
+            FieldSpec(composite)
+
+
+def test_is_prime_matches_sieve():
+    limit = 20000
+    sieve = [True] * limit
+    sieve[0] = sieve[1] = False
+    for i in range(2, limit):
+        if sieve[i]:
+            for j in range(i * i, limit, i):
+                sieve[j] = False
+    assert [_is_prime(k) for k in range(limit)] == sieve
 
 
 def test_coerce():
