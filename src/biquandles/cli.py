@@ -22,13 +22,14 @@ import sys
 
 from .cohomology import (CochainClass, classify_cochain, format_cochain,
                          read_cochain, reduced_cohomology_basis, write_cochain)
-from .coloring import SearchLimitError, counting_invariant, enumerate_colorings
+from .coloring import SearchLimitError, check_search_size, scan_reduction
 from .core import (BlockConvention, ParseError, alexander_biquandle,
                    read_biquandle, validate_biquandle, write_biquandle)
 from .gauss import parse_gauss_code, serialize_gauss_code
 from .invariant import yb_invariant, yb_invariant_suite
 from .linalg import FieldSpec
-from .presentation import format_presentation, knot_presentation, reduce_presentation
+from .presentation import (format_presentation, knot_presentation,
+                           reduce_presentation, reduce_with_trace)
 from .search import ENUMERATION_LIMIT, enumerate_biquandles
 
 
@@ -73,15 +74,18 @@ def _load_code(path: str):
         raise DomainError(f"{path}: {e}")
 
 
-def _print_presentation(code, out):
-    pres = knot_presentation(code)
+def _write_presentation(pres, reduced, out):
     out.write("presentation:\n")
     for line in format_presentation(pres).splitlines():
         out.write("  " + line + "\n")
-    red = reduce_presentation(pres)
-    out.write(f"reduced ({len(red.generators)} generators):\n")
-    for line in format_presentation(red).splitlines():
+    out.write(f"reduced ({len(reduced.generators)} generators):\n")
+    for line in format_presentation(reduced).splitlines():
         out.write("  " + line + "\n")
+
+
+def _print_presentation(code, out):
+    pres = knot_presentation(code)
+    _write_presentation(pres, reduce_presentation(pres), out)
 
 
 def _cmd_validate(args, out):
@@ -157,12 +161,16 @@ def _cmd_cohomology(args, out):
 
 def _cmd_colorings(args, out):
     T = _load_biquandle(args.biquandle, args.block_convention)
+    code = _load_code(args.code)
+    pres = knot_presentation(code)
+    reduced, trace = reduce_with_trace(pres)
+    # an oversized search fails at once, before validating a large table
+    check_search_size(T.n, len(reduced.generators))
     if not T.is_valid:
         raise DomainError("biquandle fails validation")
-    code = _load_code(args.code)
     if args.show_presentation:
-        _print_presentation(code, out)
-    cols = enumerate_colorings(code, T, jobs=args.jobs)
+        _write_presentation(pres, reduced, out)
+    cols = scan_reduction(T, reduced, trace, code.n_semi_arcs, jobs=args.jobs)
     if args.porcelain:
         out.write(json.dumps({"count": len(cols), "colorings": [list(c) for c in cols]}) + "\n")
         return 0

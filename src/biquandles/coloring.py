@@ -6,9 +6,14 @@ can check the other:
   enumerate_colorings        reduce the presentation, brute-force the
                              surviving generators, then rebuild eliminated
                              generators by replaying the reduction trace
-                             backwards;
+                             backwards (scan_reduction does all but the
+                             reduction, for callers that have one already);
   enumerate_colorings_oracle depth-first fill-and-propagate directly on the
-                             unreduced presentation.
+                             unreduced presentation, on the constraint
+                             engine of the search module, which the table
+                             search shares.  The reduced scan does not use
+                             the engine, so an engine fault shows up as a
+                             disagreement between the two.
 
 Both return colorings as tuples indexed by semi-arc (entry k-1 is the color
 of semi-arc k), sorted lexicographically.
@@ -20,8 +25,9 @@ import multiprocessing
 
 from .core import Biquandle
 from .gauss import GaussCode
-from .presentation import (Presentation, eval_word, knot_presentation,
-                           reduce_with_trace, word_generators)
+from .presentation import (Gen, Presentation, eval_word, knot_presentation,
+                           reduce_with_trace)
+from .search import Engine, compile_sides
 
 CANDIDATE_LIMIT = 10 ** 8
 _PARALLEL_THRESHOLD = 2048
@@ -62,23 +68,34 @@ def _scan_chunk_star(args):
     return _scan_chunk(*args)
 
 
+def check_search_size(n: int, survivors: int) -> None:
+    """Raise SearchLimitError if n^survivors candidates exceed the cap."""
+    total = n ** survivors
+    if total > CANDIDATE_LIMIT:
+        raise SearchLimitError(
+            f"search too large: {n}^{survivors} = {total} candidate assignments")
+
+
 def enumerate_colorings(code: GaussCode, T: Biquandle, jobs: int = 1) -> list[tuple[int, ...]]:
     """All colorings, via reduction plus brute force over the survivors."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     reduced, trace = reduce_with_trace(knot_presentation(code))
-    n, k = T.n, len(reduced.generators)
-    total = n ** k
-    if total > CANDIDATE_LIMIT:
-        raise SearchLimitError(
-            f"search too large: {n}^{k} = {total} candidate assignments")
+    return scan_reduction(T, reduced, trace, code.n_semi_arcs, jobs)
 
-    arcs = code.n_semi_arcs
+
+def scan_reduction(T: Biquandle, reduced: Presentation, trace, n_semi_arcs: int,
+                   jobs: int = 1) -> list[tuple[int, ...]]:
+    """All colorings, by brute force over the survivors of a reduction
+    (as reduce_with_trace returns it) of a code's knot presentation."""
+    n, k = T.n, len(reduced.generators)
+    check_search_size(n, k)
+    total = n ** k
     if jobs == 1 or total < _PARALLEL_THRESHOLD:
-        found = _scan_chunk(T, reduced, trace, arcs, 0, total)
+        found = _scan_chunk(T, reduced, trace, n_semi_arcs, 0, total)
     else:
         step = -(-total // jobs)
-        tasks = [(T, reduced, trace, arcs, lo, min(lo + step, total))
+        tasks = [(T, reduced, trace, n_semi_arcs, lo, min(lo + step, total))
                  for lo in range(0, total, step)]
         with multiprocessing.Pool(jobs) as pool:
             found = [c for chunk in pool.map(_scan_chunk_star, tasks) for c in chunk]
@@ -89,45 +106,44 @@ def enumerate_colorings(code: GaussCode, T: Biquandle, jobs: int = 1) -> list[tu
 def enumerate_colorings_oracle(code: GaussCode, T: Biquandle) -> list[tuple[int, ...]]:
     """All colorings, via fill-and-propagate on the unreduced presentation.
 
-    Branches on the lowest unassigned semi-arc; a relation whose left side
-    is fully assigned either forces its isolated generator or, if that is
-    already assigned, must check out.
+    Runs on the search module's engine with the table cells as constants
+    and the semi-arcs as unknowns.  Branches on the lowest unassigned
+    semi-arc; a relation whose left side is fully assigned either forces
+    its isolated generator or, if that is already assigned, must check out.
     """
     pres = knot_presentation(code)
-    relations = [(r.lhs, sorted(word_generators(r.lhs)), r.rhs) for r in pres.relations]
     n = T.n
-    arcs = pres.generators
+    first = 4 * n * n  # slot of semi-arc 1, after the cells
+
+    def place(w):
+        if isinstance(w, Gen):
+            return first + w.index - 1
+        return (w.kind, place(w.left), place(w.right))
+
+    arcs = len(pres.generators)
+    sides, scratch = compile_sides(
+        [(place(r.lhs), first + r.rhs - 1) for r in pres.relations], n, first + arcs)
+    cells = [v for t in T.tables for row in t for v in row]
+    engine = Engine(n, cells + [0] * (arcs + scratch), sides)
+    val = engine.val
+    trail = engine.trail
     found: list[tuple[int, ...]] = []
 
-    def propagate(asg: dict[int, int]) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for lhs, lhs_gens, rhs in relations:
-                if all(g in asg for g in lhs_gens):
-                    v = eval_word(lhs, T, asg)
-                    if rhs in asg:
-                        if asg[rhs] != v:
-                            return False
-                    else:
-                        asg[rhs] = v
-                        changed = True
-        return True
-
-    def descend(asg: dict[int, int]):
-        free = next((a for a in arcs if a not in asg), None)
-        if free is None:
-            found.append(tuple(asg[a] for a in arcs))
+    def descend(a: int):
+        while a < arcs and val[first + a]:
+            a += 1
+        if a == arcs:
+            found.append(tuple(val[first:first + arcs]))
             return
         for v in range(1, n + 1):
-            trial = dict(asg)
-            trial[free] = v
-            if propagate(trial):
-                descend(trial)
+            mark = len(trail)
+            engine.assign(first + a, v)
+            if engine.propagate():
+                descend(a + 1)
+            engine.undo(mark)
 
-    root: dict[int, int] = {}
-    if propagate(root):
-        descend(root)
+    if engine.start():
+        descend(0)
     found.sort()
     return found
 

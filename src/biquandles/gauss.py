@@ -179,6 +179,7 @@ def crossings_of(code: GaussCode) -> list[Crossing]:
     component boundary.
     """
     passages: dict[int, dict[Role, tuple[int, int]]] = {}
+    signs: dict[int, int] = {}
     pos = 1
     for comp in code.components:
         size = len(comp)
@@ -186,14 +187,14 @@ def crossings_of(code: GaussCode) -> list[Crossing]:
             arc_in = pos + i
             arc_out = pos + (i + 1) % size
             passages.setdefault(e.crossing, {})[e.role] = (arc_in, arc_out)
+            signs.setdefault(e.crossing, e.sign)
         pos += max(size, 1)
 
     out = []
     for cid in sorted(passages):
-        sign = next(e.sign for comp in code.components for e in comp if e.crossing == cid)
         u_in, u_out = passages[cid][Role.UNDER]
         o_in, o_out = passages[cid][Role.OVER]
-        out.append(Crossing(cid, sign, u_in, o_in, u_out, o_out))
+        out.append(Crossing(cid, signs[cid], u_in, o_in, u_out, o_out))
     return out
 
 

@@ -56,15 +56,10 @@ class LaurentMultiset:
         return " + ".join(parts)
 
 
-def boltzmann_sum(code: GaussCode, T: Biquandle, phi: Cochain2, coloring) -> object:
-    """Signed sum of cocycle values over the crossings of one coloring.
-
-    coloring is indexable by semi-arc - 1 (as returned by
-    enumerate_colorings).
-    """
+def _state_sum(crossings, phi: Cochain2, coloring) -> object:
     F = phi.field
     total = F.zero()
-    for x in crossings_of(code):
+    for x in crossings:
         if x.sign > 0:
             total = F.add(total, phi.value(coloring[x.under_in - 1],
                                            coloring[x.over_in - 1]))
@@ -72,6 +67,15 @@ def boltzmann_sum(code: GaussCode, T: Biquandle, phi: Cochain2, coloring) -> obj
             total = F.sub(total, phi.value(coloring[x.under_out - 1],
                                            coloring[x.over_out - 1]))
     return total
+
+
+def boltzmann_sum(code: GaussCode, T: Biquandle, phi: Cochain2, coloring) -> object:
+    """Signed sum of cocycle values over the crossings of one coloring.
+
+    coloring is indexable by semi-arc - 1 (as returned by
+    enumerate_colorings).
+    """
+    return _state_sum(crossings_of(code), phi, coloring)
 
 
 def yb_invariant(code: GaussCode, T: Biquandle, phi: Cochain2,
@@ -92,14 +96,26 @@ def yb_invariant(code: GaussCode, T: Biquandle, phi: Cochain2,
         warnings.warn("cocycle is not RI-reduced; the state sum may change "
                       "under first Reidemeister moves")
     colorings = enumerate_colorings(code, T, jobs=jobs)
+    crossings = crossings_of(code)
     return LaurentMultiset.from_exponents(
-        boltzmann_sum(code, T, phi, c) for c in colorings)
+        _state_sum(crossings, phi, c) for c in colorings)
 
 
 def yb_invariant_suite(code: GaussCode, T: Biquandle, field: FieldSpec,
                        jobs: int = 1) -> list[tuple[Cochain2, LaurentMultiset]]:
-    """The invariant for every reduced-cohomology basis cocycle."""
-    out = []
-    for phi in reduced_cohomology_basis(T, field):
-        out.append((phi, yb_invariant(code, T, phi, jobs=jobs)))
-    return out
+    """The invariant for every reduced-cohomology basis cocycle.
+
+    Basis cocycles are cocycles and RI-reduced by construction, so they
+    are not checked again; the colorings are enumerated once for all of
+    them, and not at all for an empty basis.
+    """
+    if not T.is_valid:
+        raise ValueError("biquandle fails validation")
+    basis = reduced_cohomology_basis(T, field)
+    if not basis:
+        return []
+    colorings = enumerate_colorings(code, T, jobs=jobs)
+    crossings = crossings_of(code)
+    return [(phi, LaurentMultiset.from_exponents(
+                _state_sum(crossings, phi, c) for c in colorings))
+            for phi in basis]

@@ -1,16 +1,39 @@
-"""Exhaustive enumeration of finite biquandles by constraint propagation.
+"""Fill-and-propagate searches on one compiled, trail-based engine.
 
-Tables are filled cell by cell; the equational axioms (1 and 3) propagate
-forced values and detect contradictions early, while the existential axioms
-(2 and 4) are checked only on completed tables.  Blank cells are rated by
-how many incomplete axiom instances could read them under some completion;
-search branches on a highest-rated cell, so the most constrained parts of
-the table are decided first.
+The engine (``Engine``) holds every unknown and every constant of a search
+in one int array of slots, with 0 marking a blank slot.  Each equation is
+compiled once into two sides of flat steps ``(offset, x, y, out)``: when
+slots x and y hold u and v, the step reads the table cell at slot
+``offset + u*n + v`` into the scratch slot ``out``.  A side blocked on a
+blank slot sits in that slot's watch list, so filling a slot re-checks only
+the sides waiting for it.  A side that evaluates completely against another
+blocked exactly at its outermost read forces that slot; two complete sides
+that differ are a contradiction.  Every assignment and every watch entry
+goes on a trail, and backtracking pops the trail back to a mark.
+
+Two searches run on it:
+
+  the table search   (``TableSearch``, ``complete_partial``,
+                     ``enumerate_biquandles``): the 4n^2 table cells are
+                     the unknowns and the equational axioms (1 and 3) the
+                     equations, one per instance; completed tables are
+                     validated in full, which is where the existential
+                     axioms (2 and 4) are checked;
+  the coloring oracle (``coloring.enumerate_colorings_oracle``): the table
+                     cells are known constants, the semi-arcs the unknowns,
+                     and the crossing relations the equations.
+
+The table search branches on the blank cell with the highest rating, ties
+to the lowest (table, row, column).  A cell's rating is the number of axiom
+instances that could read it under some completion; each instance's set of
+possible reads is kept between nodes and recomputed only when a cell in it
+is filled, since filling other cells cannot change it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import (AXIOM_PAIR_EQS, AXIOM_TRIPLE_EQS, Biquandle, OpKind,
                    validate_biquandle, write_biquandle)
@@ -77,43 +100,378 @@ def axiom_instances(n: int):
     return out
 
 
-def _eval_partial(P: PartialBiquandle, expr, vals):
-    """Evaluate bottom-up; returns ('val', v), ('blank', cell) when only the
-    outermost cell is blank, or ('deep', None) when an inner read blocked."""
-    if isinstance(expr, int):
-        return "val", vals[expr]
-    kind, left, right = expr
-    lk, lv = _eval_partial(P, left, vals)
-    rk, rv = _eval_partial(P, right, vals)
-    if lk != "val" or rk != "val":
-        return "deep", None
-    v = P.tables[kind][lv - 1][rv - 1]
-    if v == 0:
-        return "blank", (OpKind(kind), lv, rv)
-    return "val", v
+# ---------------------------------------------------------------------------
+# The engine.
+#
+# Slot layout: the four n x n tables come first, cell (k, a, b) at slot
+# k*n*n + (a-1)*n + (b-1); a step reading table k therefore has offset
+# k*n*n - n - 1.  Each search puts its own slots after the cells, and the
+# scratch slots that steps write go last.
+
+def compile_sides(equations, n: int, first_scratch: int):
+    """Compile (lhs, rhs) expression pairs into a flat tuple of sides.
+
+    An expression is a slot number or a tuple (OpKind, left, right).  Side
+    2e is the left side of equation e and side 2e + 1 its right side; a
+    side is (steps, out), where out is the slot holding its value once
+    every step has run (for a bare slot, the slot itself).  Returns the
+    sides and the number of scratch slots they use.
+    """
+    sides = []
+    scratch = 0
+    shared: dict = {}  # one object per distinct step and side, to save memory
+    for pair in equations:
+        for expr in pair:
+            steps: list[tuple[int, int, int, int]] = []
+
+            def emit(e):
+                if isinstance(e, int):
+                    return e
+                kind, left, right = e
+                x, y = emit(left), emit(right)
+                out = first_scratch + len(steps)
+                step = (kind * n * n - n - 1, x, y, out)
+                steps.append(shared.setdefault(step, step))
+                return out
+
+            out = emit(expr)
+            scratch = max(scratch, len(steps))
+            side = (tuple(steps), out)
+            sides.append(shared.setdefault(side, side))
+    return tuple(sides), scratch
 
 
-def _possible_reads(P: PartialBiquandle, expr, vals) -> tuple[set, set]:
-    """(possible values, blank cells possibly read) under any completion."""
-    if isinstance(expr, int):
-        return {vals[expr]}, set()
-    kind, left, right = expr
-    lvals, lblanks = _possible_reads(P, left, vals)
-    rvals, rblanks = _possible_reads(P, right, vals)
-    blanks = lblanks | rblanks
-    values = set()
-    hit_blank = False
-    for u in lvals:
-        for v in rvals:
-            w = P.tables[kind][u - 1][v - 1]
-            if w == 0:
-                blanks.add((OpKind(kind), u, v))
-                hit_blank = True
+class Engine:
+    """Fill-and-propagate over one int array; see the module docstring.
+
+    values is the slot array (0 = blank), sides come from compile_sides.
+    Call start() once, then assign() and propagate() for each branch, and
+    undo() back to a mark taken from len(trail) before the branch.
+    """
+
+    def __init__(self, n: int, values: list[int], sides):
+        self.n = n
+        self.val = values
+        self.sides = sides
+        self.watch: list[list[int]] = [[] for _ in range(len(values) + 1)]
+        # slot s >= 0 was assigned; ~s < 0 had a watch entry appended
+        self.trail: list[int] = []
+        self.queue: list[int] = []
+
+    def assign(self, slot: int, value: int) -> None:
+        self.val[slot] = value
+        self.trail.append(slot)
+        self.queue.append(slot)
+
+    def start(self) -> bool:
+        """Check every side once and propagate; False on a contradiction.
+
+        The extra last watch list holds every side, so this is one
+        propagation from it."""
+        self.watch[-1] = list(range(len(self.sides)))
+        self.queue.append(-1)
+        return self.propagate()
+
+    def propagate(self) -> bool:
+        """Re-check the sides watching each newly filled slot, to the
+        fixpoint; False on a contradiction.
+
+        A side evaluates to r: its value 1..n; ~s if it is blocked only at
+        its outermost read, blank slot s; n + 1 + s if blocked deeper, at
+        blank slot s.  A blocked side q goes on the watch list of its
+        blocking slot.  Then, with r2 the other side: two values must agree,
+        and a value against a side blocked at its outermost read fills
+        that slot.
+        """
+        val = self.val
+        n = self.n
+        deep = n + 1
+        sides = self.sides
+        watch = self.watch
+        trail = self.trail
+        queue = self.queue
+        while queue:
+            for q in watch[queue.pop()]:
+                # evaluate side q into r (inlined, as is side q ^ 1 below:
+                # a call per side costs a fifth of the oracle's time)
+                steps, out = sides[q]
+                for o, x, y, t in steps:
+                    u = val[x]
+                    if not u:
+                        r = deep + x
+                        break
+                    v = val[y]
+                    if not v:
+                        r = deep + y
+                        break
+                    c = o + u * n + v
+                    w = val[c]
+                    if not w:
+                        r = ~c if t == out else deep + c
+                        break
+                    val[t] = w
+                else:
+                    r = val[out] or ~out
+                if r > n:
+                    s = r - deep
+                    watch[s].append(q)
+                    trail.append(~s)
+                elif r < 0:
+                    watch[~r].append(q)
+                    trail.append(r)
+                steps, out = sides[q ^ 1]
+                for o, x, y, t in steps:
+                    u = val[x]
+                    if not u:
+                        r2 = deep + x
+                        break
+                    v = val[y]
+                    if not v:
+                        r2 = deep + y
+                        break
+                    c = o + u * n + v
+                    w = val[c]
+                    if not w:
+                        r2 = ~c if t == out else deep + c
+                        break
+                    val[t] = w
+                else:
+                    r2 = val[out] or ~out
+                if 0 < r <= n:
+                    if 0 < r2 <= n:
+                        if r != r2:
+                            queue.clear()
+                            return False
+                        continue
+                    if r2 > 0:
+                        continue
+                    s = ~r2
+                    val[s] = r
+                elif r < 0 and 0 < r2 <= n:
+                    s = ~r
+                    val[s] = r2
+                else:
+                    continue
+                trail.append(s)
+                queue.append(s)
+        return True
+
+    def undo(self, mark: int) -> None:
+        """Pop the trail back to mark: blank the slots, drop the watches."""
+        trail = self.trail
+        val = self.val
+        watch = self.watch
+        while len(trail) > mark:
+            s = trail.pop()
+            if s >= 0:
+                val[s] = 0
             else:
-                values.add(w)
-    if hit_blank:
-        values.update(range(1, P.n + 1))
-    return values, blanks
+                watch[~s].pop()
+
+
+# ---------------------------------------------------------------------------
+# The table search.
+
+@lru_cache(maxsize=8)
+def _axiom_sides(n: int):
+    """Compiled axiom instances on order n, in axiom_instances order.
+
+    Slots: the 4n^2 cells, then n constant slots holding 1..n (the values
+    of the instance variables), then scratch.
+    """
+    first_constant = 4 * n * n
+    equations = []
+    for _eq_id, lhs, rhs, vals in axiom_instances(n):
+        def place(e):
+            if isinstance(e, int):
+                return first_constant + vals[e] - 1
+            kind, left, right = e
+            return (kind, place(left), place(right))
+        equations.append((place(lhs), place(rhs)))
+    return compile_sides(equations, n, first_constant + n)
+
+
+def _bits(mask: int):
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class TableSearch(Engine):
+    """Every valid completion of a partial table, by propagation, ratings
+    and branching; run() returns them, and nodes counts the propagations
+    (the root and one per branch tried).
+
+    Sets of cells are int bitmasks over cell slots, and sets of values
+    bitmasks over 1..n.
+    """
+
+    def __init__(self, P: PartialBiquandle):
+        n = P.n
+        sides, scratch = _axiom_sides(n)
+        values = [v for t in P.tables for row in t for v in row]
+        super().__init__(n, values + list(range(1, n + 1)) + [0] * scratch, sides)
+        self.cells = len(values)
+        # while rating, a scratch slot with several possible values holds
+        # 0 and its values are in poss
+        self.poss: list = [None] * len(self.val)
+        self.members = [tuple(v for v in range(1, n + 1) if m >> v & 1)
+                        for m in range(2 << n)]
+        self.full = self.members[-2]  # the mask with bits 1..n
+        self.nodes = 0
+        self.found: list[Biquandle] = []
+        # ratings: each instance's reads, the instances that read each cell
+        # at the root, and the number that read it now
+        self.reads: list[int] = []
+        self.readers: list[list[int]] = []
+        self.rating: list[int] = []
+        self.rtrail: list[tuple[int, int]] = []  # (instance, its old reads)
+
+    def _reads(self, e: int) -> int:
+        """Mask of the blank cells that instance e might read under some
+        completion.  A step's possible values are the filled cells it may
+        read, or every element once it may read a blank one."""
+        val = self.val
+        n = self.n
+        poss = self.poss
+        full = self.full
+        reads = 0
+        for q in (2 * e, 2 * e + 1):
+            for o, x, y, t in self.sides[q][0]:
+                u = val[x]
+                v = val[y]
+                if u and v:
+                    c = o + u * n + v
+                    w = val[c]
+                    if w:
+                        val[t] = w
+                    else:
+                        reads |= 1 << c
+                        val[t] = 0
+                        poss[t] = full
+                    continue
+                found = 0
+                hit = False
+                vs = (v,) if v else poss[y]
+                for u in ((u,) if u else poss[x]):
+                    base = o + u * n
+                    for v in vs:
+                        w = val[base + v]
+                        if w:
+                            found |= 1 << w
+                        else:
+                            reads |= 1 << (base + v)
+                            hit = True
+                if hit:
+                    val[t] = 0
+                    poss[t] = full
+                elif found & (found - 1):
+                    val[t] = 0
+                    poss[t] = self.members[found]
+                else:
+                    val[t] = found.bit_length() - 1
+        return reads
+
+    def all_reads(self) -> list[int]:
+        return [self._reads(e) for e in range(len(self.sides) // 2)]
+
+    def run(self) -> list[Biquandle]:
+        """All valid completions, sorted by serialized matrix."""
+        self.nodes = 1
+        if self.start():
+            self._rate_root()
+            self._descend(len(self.trail))
+        self.found.sort(key=write_biquandle)
+        return self.found
+
+    def _rate_root(self) -> None:
+        self.reads = self.all_reads()
+        self.readers = [[] for _ in range(self.cells)]
+        self.rating = [0] * self.cells
+        for e, mask in enumerate(self.reads):
+            for c in _bits(mask):
+                self.readers[c].append(e)
+                self.rating[c] += 1
+
+    def _rerate(self, mark: int) -> None:
+        """Update the ratings for the cells assigned since trail mark."""
+        reads = self.reads
+        readers = self.readers
+        dirty = set()
+        for s in self.trail[mark:]:
+            if s >= 0:
+                b = 1 << s
+                for e in readers[s]:
+                    if reads[e] & b:
+                        dirty.add(e)
+        rating = self.rating
+        rtrail = self.rtrail
+        for e in dirty:
+            old = reads[e]
+            reads[e] = new = self._reads(e)
+            rtrail.append((e, old))
+            gone = old ^ new
+            while gone:  # _bits(gone), inlined
+                low = gone & -gone
+                rating[low.bit_length() - 1] -= 1
+                gone ^= low
+
+    def _unrate(self, mark: int) -> None:
+        reads = self.reads
+        rating = self.rating
+        rtrail = self.rtrail
+        while len(rtrail) > mark:
+            e, old = rtrail.pop()
+            gone = old ^ reads[e]
+            while gone:
+                low = gone & -gone
+                rating[low.bit_length() - 1] += 1
+                gone ^= low
+            reads[e] = old
+
+    def _descend(self, mark: int) -> None:
+        """Search below a propagated node whose ratings are current up to
+        trail mark."""
+        val = self.val
+        if 0 not in val[:self.cells]:
+            T = self.to_biquandle()
+            if validate_biquandle(T).ok:
+                self.found.append(T)
+            return
+        self._rerate(mark)
+        cell = self._branch_cell()
+        for v in range(1, self.n + 1):
+            mark = len(self.trail)
+            rmark = len(self.rtrail)
+            self.nodes += 1
+            self.assign(cell, v)
+            if self.propagate():
+                self._descend(mark)
+            self.undo(mark)
+            self._unrate(rmark)
+
+    def _branch_cell(self) -> int:
+        """The blank cell with the highest rating, ties to the lowest."""
+        val = self.val
+        rating = self.rating
+        cell = -1
+        top = -1
+        for c in range(self.cells):
+            if not val[c] and rating[c] > top:
+                top = rating[c]
+                cell = c
+        return cell
+
+    def to_partial(self) -> PartialBiquandle:
+        n = self.n
+        val = self.val
+        return PartialBiquandle([[val[k * n * n + a * n:k * n * n + (a + 1) * n]
+                                  for a in range(n)] for k in range(4)])
+
+    def to_biquandle(self) -> Biquandle:
+        return self.to_partial().to_biquandle()
 
 
 CONTRADICTION = "CONTRADICTION"
@@ -126,24 +484,15 @@ def propagate(P: PartialBiquandle):
     at its outermost blank cell forces that cell.  Returns the propagated
     copy, or CONTRADICTION when a fully determined instance fails.
     """
-    P = P.copy()
-    instances = axiom_instances(P.n)
-    changed = True
-    while changed:
-        changed = False
-        for _eq_id, lhs, rhs, vals in instances:
-            lk, lv = _eval_partial(P, lhs, vals)
-            rk, rv = _eval_partial(P, rhs, vals)
-            if lk == "val" and rk == "val":
-                if lv != rv:
-                    return CONTRADICTION
-            elif lk == "val" and rk == "blank":
-                P.set(rv, lv)
-                changed = True
-            elif lk == "blank" and rk == "val":
-                P.set(lv, rv)
-                changed = True
-    return P
+    search = TableSearch(P)
+    if not search.start():
+        return CONTRADICTION
+    return search.to_partial()
+
+
+def _cell_slot(n: int, cell: Cell) -> int:
+    k, a, b = cell
+    return k * n * n + (a - 1) * n + (b - 1)
 
 
 def rate_zero(P: PartialBiquandle, cell: Cell) -> int:
@@ -154,48 +503,21 @@ def rate_zero(P: PartialBiquandle, cell: Cell) -> int:
     """
     if P.get(cell) != 0:
         raise ValueError(f"cell {cell} is not blank")
-    count = 0
-    for _eq_id, lhs, rhs, vals in axiom_instances(P.n):
-        _lv, lb = _possible_reads(P, lhs, vals)
-        _rv, rb = _possible_reads(P, rhs, vals)
-        if cell in lb or cell in rb:
-            count += 1
-    return count
+    bit = 1 << _cell_slot(P.n, cell)
+    return sum(1 for reads in TableSearch(P).all_reads() if reads & bit)
 
 
 def _ratings(P: PartialBiquandle) -> dict[Cell, int]:
-    counts: dict[Cell, int] = {c: 0 for c in P.blanks()}
-    for _eq_id, lhs, rhs, vals in axiom_instances(P.n):
-        _lv, lb = _possible_reads(P, lhs, vals)
-        _rv, rb = _possible_reads(P, rhs, vals)
-        for c in lb | rb:
+    counts = [0] * (4 * P.n * P.n)
+    for reads in TableSearch(P).all_reads():
+        for c in _bits(reads):
             counts[c] += 1
-    return counts
+    return {c: counts[_cell_slot(P.n, c)] for c in P.blanks()}
 
 
 def complete_partial(P: PartialBiquandle) -> list[Biquandle]:
     """All valid biquandles extending P, sorted by serialized matrix."""
-    found: list[Biquandle] = []
-
-    def descend(state: PartialBiquandle):
-        state = propagate(state)
-        if state is CONTRADICTION:
-            return
-        if state.is_complete():
-            T = state.to_biquandle()
-            if validate_biquandle(T).ok:
-                found.append(T)
-            return
-        ratings = _ratings(state)
-        cell = max(ratings, key=lambda c: (ratings[c], [-x for x in c]))
-        for v in range(1, state.n + 1):
-            trial = state.copy()
-            trial.set(cell, v)
-            descend(trial)
-
-    descend(P)
-    found.sort(key=write_biquandle)
-    return found
+    return TableSearch(P).run()
 
 
 ENUMERATION_LIMIT = 4

@@ -1,4 +1,5 @@
 import pathlib
+import random
 
 import pytest
 
@@ -45,6 +46,34 @@ def link_code():
 @pytest.fixture(scope="session")
 def unknot_code():
     return parse_gauss_code((DATA / "unknot.gauss").read_text())
+
+
+def make_random_code(rng: random.Random, crossings: int, components: int = 1):
+    """A seeded random signed Gauss code.
+
+    The passages of all crossings (one over, one under each) are shuffled,
+    every crossing gets a random sign, and the sequence is cut into
+    nonempty components.  Every such code is a virtual knot diagram.
+    """
+    passages = [(x, over) for x in range(1, crossings + 1) for over in (True, False)]
+    rng.shuffle(passages)
+    signs = {x: rng.choice((1, -1)) for x in range(1, crossings + 1)}
+    cuts = sorted(rng.sample(range(1, 2 * crossings), components - 1))
+    bounds = [0] + cuts + [2 * crossings]
+    tokens = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        for x, over in passages[lo:hi]:
+            token = str(x) if over else f"-{x}"
+            if signs[x] < 0:
+                token += "+I" if over else "-I"
+            tokens.append(token)
+        tokens.append("0")
+    return parse_gauss_code(",".join(tokens))
+
+
+@pytest.fixture(scope="session")
+def random_code():
+    return make_random_code
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

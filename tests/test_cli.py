@@ -201,6 +201,34 @@ def test_colorings_search_too_large(run, data_dir, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_colorings_checks_search_size_before_validating(run, data_dir, tmp_path):
+    # An invalid order-50 table: the size check must answer first, without
+    # the n^3 validation.
+    bad = tmp_path / "ones50.bq"
+    bad.write_text("\n".join(" ".join(["1"] * 100) for _ in range(100)) + "\n")
+    rc, out, err = run("colorings", "--count-only",
+                       "--code", str(data_dir / "conway.gauss"), "--biquandle", str(bad))
+    assert (rc, out) == (1, "")
+    assert err == "error: search too large: 50^5 = 312500000 candidate assignments\n"
+
+
+def test_colorings_reduces_once(run, data_dir, monkeypatch):
+    from biquandles import cli, coloring, presentation
+    calls = []
+    real = presentation.reduce_with_trace
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    for module in (cli, coloring, presentation):
+        monkeypatch.setattr(module, "reduce_with_trace", counted)
+    rc, out, _ = run("colorings", "--show-presentation", "--count-only",
+                     "--code", str(data_dir / "trefoil.gauss"),
+                     "--biquandle", str(data_dir / "kishinoT.bq"))
+    assert (rc, out.splitlines()[-1]) == (0, "4")
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
 def test_jobs_must_be_positive(run, data_dir, jobs):
     rc, out, err = run("colorings", "--jobs", jobs,

@@ -1,5 +1,7 @@
 """Coloring enumeration: both strategies, counting values, and validity."""
 
+import random
+
 import pytest
 
 from biquandles.coloring import (SearchLimitError, counting_invariant,
@@ -82,3 +84,15 @@ def test_search_limit(conway_code):
     big = alexander_biquandle(100, 1, 3)
     with pytest.raises(SearchLimitError, match=r"100\^5"):
         enumerate_colorings(conway_code, big)
+
+
+def test_strategies_agree_on_random_codes(kishino_T, random_code):
+    # Any signed Gauss code is a virtual diagram, so seeded random codes
+    # make test cases nobody picked by hand.
+    rng = random.Random(20261018)
+    tables = [kishino_T, alexander_biquandle(3, 1, 2), alexander_biquandle(5, 2, 3)]
+    for i in range(30):
+        code = random_code(rng, rng.randint(2, 6), 1 + i % 3)
+        for T in tables:
+            assert enumerate_colorings_oracle(code, T) == enumerate_colorings(code, T), \
+                f"code {i} by order {T.n}"

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from biquandles.gauss import (Crossing, GaussEntry, Role, crossings_of,
@@ -151,3 +153,14 @@ def test_entry_fields():
     first, second = code.components[0]
     assert first == GaussEntry(1, Role.OVER, 1)
     assert second == GaussEntry(1, Role.UNDER, 1)
+
+
+def test_crossing_signs_match_their_passages(random_code):
+    # crossings_of reads each sign in the pass that collects the passages.
+    rng = random.Random(4)
+    for i in range(20):
+        code = random_code(rng, rng.randint(1, 7), 1 + i % 2)
+        signs = {e.crossing: e.sign for comp in code.components for e in comp}
+        crossings = crossings_of(code)
+        assert [x.index for x in crossings] == list(range(1, code.n_crossings + 1))
+        assert [x.sign for x in crossings] == [signs[x.index] for x in crossings]

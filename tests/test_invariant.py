@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from biquandles import invariant
 from biquandles.cohomology import (Cochain1, Cochain2, coboundary_of,
                                    cochain2_from_pairs, read_cochain,
-                                   zero_cochain)
+                                   reduced_cohomology_basis, zero_cochain)
 from biquandles.core import Biquandle, alexander_biquandle
 from biquandles.coloring import counting_invariant
 from biquandles.gauss import insert_r_move
@@ -87,6 +88,34 @@ def test_suite(kishino_code, unknot_code, kishino_T):
         [{-1: 2, 0: 12, 1: 2}, {-2: 2, 0: 12, 2: 2}]
     assert [str(v) for _phi, v in yb_invariant_suite(unknot_code, kishino_T, Q)] == \
         ["4", "4"]
+
+
+def test_suite_scans_colorings_once(conway_code, monkeypatch):
+    # A(5,2,3) over Z5 has four basis cocycles, and one scan serves them all.
+    A = alexander_biquandle(5, 2, 3)
+    scans = []
+    real = invariant.enumerate_colorings
+    monkeypatch.setattr(invariant, "enumerate_colorings",
+                        lambda *a, **k: scans.append(a) or real(*a, **k))
+    suite = yb_invariant_suite(conway_code, A, F5)
+    assert len(suite) == 4 and len(scans) == 1
+
+
+def test_suite_matches_one_invariant_per_cocycle(kishino_T, random_code):
+    rng = random.Random(11)
+    A = alexander_biquandle(5, 2, 3)
+    for i in range(6):
+        code = random_code(rng, 4, 1 + i % 2)
+        for T, F in ((kishino_T, Q), (A, F5)):
+            expected = [(phi, yb_invariant(code, T, phi))
+                        for phi in reduced_cohomology_basis(T, F)]
+            assert yb_invariant_suite(code, T, F) == expected
+
+
+def test_suite_rejects_invalid_biquandle(unknot_code):
+    bad = Biquandle(tuple(((1, 1), (1, 1)) for _ in range(4)))
+    with pytest.raises(ValueError, match="fails validation"):
+        yb_invariant_suite(unknot_code, bad, Q)
 
 
 # --- invariance laws --------------------------------------------------------

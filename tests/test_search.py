@@ -4,15 +4,215 @@ import random
 
 import pytest
 
-from biquandles.core import OpKind, validate_biquandle, write_biquandle
-from biquandles.search import (CONTRADICTION, PartialBiquandle, _ratings,
-                               axiom_instances, complete_partial,
+from biquandles.core import (OpKind, alexander_biquandle, validate_biquandle,
+                             write_biquandle)
+from biquandles.search import (CONTRADICTION, PartialBiquandle, TableSearch,
+                               _ratings, axiom_instances, complete_partial,
                                enumerate_biquandles, propagate, rate_zero)
 
 
 def all_cells(n):
     return [(k, a, b) for k in OpKind
             for a in range(1, n + 1) for b in range(1, n + 1)]
+
+
+# --- the full-sweep reference ------------------------------------------------
+#
+# Propagation and ratings as they were computed before the compiled engine:
+# every axiom instance's expression trees are walked again, to a fixpoint,
+# on every call.  The engine must agree with them exactly.
+
+
+def _eval_partial(P, expr, vals):
+    """Evaluate bottom-up; returns ('val', v), ('blank', cell) when only the
+    outermost cell is blank, or ('deep', None) when an inner read blocked."""
+    if isinstance(expr, int):
+        return "val", vals[expr]
+    kind, left, right = expr
+    lk, lv = _eval_partial(P, left, vals)
+    rk, rv = _eval_partial(P, right, vals)
+    if lk != "val" or rk != "val":
+        return "deep", None
+    v = P.tables[kind][lv - 1][rv - 1]
+    if v == 0:
+        return "blank", (OpKind(kind), lv, rv)
+    return "val", v
+
+
+def _possible_reads(P, expr, vals):
+    """(possible values, blank cells possibly read) under any completion."""
+    if isinstance(expr, int):
+        return {vals[expr]}, set()
+    kind, left, right = expr
+    lvals, lblanks = _possible_reads(P, left, vals)
+    rvals, rblanks = _possible_reads(P, right, vals)
+    blanks = lblanks | rblanks
+    values = set()
+    hit_blank = False
+    for u in lvals:
+        for v in rvals:
+            w = P.tables[kind][u - 1][v - 1]
+            if w == 0:
+                blanks.add((OpKind(kind), u, v))
+                hit_blank = True
+            else:
+                values.add(w)
+    if hit_blank:
+        values.update(range(1, P.n + 1))
+    return values, blanks
+
+
+def reference_propagate(P):
+    P = P.copy()
+    instances = axiom_instances(P.n)
+    changed = True
+    while changed:
+        changed = False
+        for _eq_id, lhs, rhs, vals in instances:
+            lk, lv = _eval_partial(P, lhs, vals)
+            rk, rv = _eval_partial(P, rhs, vals)
+            if lk == "val" and rk == "val":
+                if lv != rv:
+                    return CONTRADICTION
+            elif lk == "val" and rk == "blank":
+                P.set(rv, lv)
+                changed = True
+            elif lk == "blank" and rk == "val":
+                P.set(lv, rv)
+                changed = True
+    return P
+
+
+def reference_ratings(P):
+    counts = {c: 0 for c in P.blanks()}
+    for _eq_id, lhs, rhs, vals in axiom_instances(P.n):
+        _lv, lb = _possible_reads(P, lhs, vals)
+        _rv, rb = _possible_reads(P, rhs, vals)
+        for c in lb | rb:
+            counts[c] += 1
+    return counts
+
+
+def random_partials(T, rng, count):
+    """Random blank subsets of T, of every size; every third one has at
+    most a quarter of its cells blank and one filled cell changed, which
+    usually makes it contradictory."""
+    cells = all_cells(T.n)
+    for i in range(count):
+        P = PartialBiquandle.from_biquandle(T)
+        wrong = i % 3 == 2
+        blank = rng.randint(1, len(cells) // 4 if wrong else len(cells))
+        for cell in rng.sample(cells, blank):
+            P.set(cell, 0)
+        if wrong:
+            cell = rng.choice([c for c in cells if P.get(c)])
+            P.set(cell, rng.choice([v for v in range(1, T.n + 1) if v != P.get(cell)]))
+        yield P
+
+
+DIFFERENTIAL_TABLES = [("kishinoT", None, 16), ("A(2,1,1)", (2, 1, 1), 24),
+                       ("A(3,1,2)", (3, 1, 2), 24), ("A(3,2,2)", (3, 2, 2), 24),
+                       ("A(4,3,3)", (4, 3, 3), 16), ("A(4,1,3)", (4, 1, 3), 16),
+                       ("A(5,2,3)", (5, 2, 3), 8), ("A(5,2,2)", (5, 2, 2), 8)]
+
+
+@pytest.mark.parametrize("name,params,count", DIFFERENTIAL_TABLES,
+                         ids=[t[0] for t in DIFFERENTIAL_TABLES])
+def test_engine_matches_full_sweep(kishino_T, name, params, count):
+    T = kishino_T if params is None else alexander_biquandle(*params)
+    rng = random.Random(f"engine {name}")
+    contradictions = 0
+    for P in random_partials(T, rng, count):
+        before = P.copy()
+        expected = reference_propagate(P)
+        got = propagate(P)
+        if expected is CONTRADICTION:
+            contradictions += 1
+            assert got is CONTRADICTION
+        else:
+            assert got is not CONTRADICTION and got.tables == expected.tables
+        assert _ratings(P) == reference_ratings(P)
+        assert P == before, "propagate and _ratings must not touch their input"
+    if T.n > 2:
+        assert contradictions, "the sample should reach a contradiction"
+
+
+def test_rate_zero_matches_full_sweep(kishino_T):
+    rng = random.Random(3)
+    for P in random_partials(kishino_T, rng, 6):
+        expected = reference_ratings(P)
+        for cell in rng.sample(P.blanks(), min(5, len(P.blanks()))):
+            assert rate_zero(P, cell) == expected[cell]
+
+
+def slot(n, cell):
+    k, a, b = cell
+    return k * n * n + (a - 1) * n + (b - 1)
+
+
+def test_branch_cell_matches_full_sweep(kishino_T):
+    # Highest rating, ties to the lowest (table, row, column).
+    rng = random.Random(8)
+    checked = 0
+    for T in (kishino_T, alexander_biquandle(3, 1, 2), alexander_biquandle(5, 2, 3)):
+        for P in random_partials(T, rng, 12):
+            search = TableSearch(P)
+            if not search.start():
+                continue
+            Q = reference_propagate(P)
+            search._rate_root()
+            if Q.is_complete():
+                assert search._branch_cell() == -1
+                continue
+            ratings = reference_ratings(Q)
+            best = max(ratings, key=lambda c: (ratings[c], [-x for x in c]))
+            assert search._branch_cell() == slot(T.n, best)
+            checked += 1
+    assert checked > 10
+
+
+class CheckedSearch(TableSearch):
+    """A search that checks its incrementally kept ratings against the
+    full sweep at every branch."""
+
+    def _branch_cell(self):
+        expected = reference_ratings(self.to_partial())
+        assert {c: self.rating[slot(self.n, c)] for c in expected} == expected
+        return super()._branch_cell()
+
+
+@pytest.mark.parametrize("blank_tables", [None, (0, 2), (1, 3)])
+def test_incremental_ratings_match_full_sweep(kishino_T, blank_tables):
+    if blank_tables is None:
+        P, expected = PartialBiquandle.blank(2), enumerate_biquandles(2)
+    else:
+        P = PartialBiquandle.from_biquandle(kishino_T)
+        for k in blank_tables:
+            P.tables[k] = [[0] * 4 for _ in range(4)]
+        expected = complete_partial(P)
+    search = CheckedSearch(P)
+    assert search.run() == expected
+    assert search.nodes > 10
+
+
+def test_search_tree_size_is_pinned():
+    # Nodes are propagations: the root and one per branch value tried.
+    # These are the full-sweep search's counts; the same cell is chosen
+    # at every node, so the tree cannot grow.
+    for n, count, nodes in [(1, 1, 3), (2, 2, 131), (3, 36, 15082)]:
+        search = TableSearch(PartialBiquandle.blank(n))
+        assert len(search.run()) == count
+        assert search.nodes == nodes
+
+
+def test_search_leaves_its_input_alone(kishino_T):
+    P = PartialBiquandle.from_biquandle(kishino_T)
+    for cell in all_cells(4)[:20]:
+        P.set(cell, 0)
+    before = P.copy()
+    first = complete_partial(P)
+    assert P == before
+    assert complete_partial(P) == first == [kishino_T]
 
 
 def test_partial_helpers(kishino_T):
