@@ -305,13 +305,8 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args, sys.stdout)
-    except DomainError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (FileNotFoundError, SearchLimitError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
+    except (DomainError, SearchLimitError, OSError, ValueError) as e:
+        # OSError: a missing file, a directory, an -o path under a file
         print(f"error: {e}", file=sys.stderr)
         return 1
 

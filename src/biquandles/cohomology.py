@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .core import Biquandle, ParseError, kink_witnesses
-from .linalg import ExactMatrix, FieldSpec, RankTracker, in_span, kernel_basis, matvec, rref
+from .linalg import ExactMatrix, FieldSpec, RankTracker, kernel_basis, matvec
 
 
 @dataclass(frozen=True)
@@ -107,32 +107,39 @@ def coboundary_of(T: Biquandle, lam: Cochain1) -> Cochain2:
     return Cochain2(F, tuple(coeffs))
 
 
-def coboundary_basis(T: Biquandle, field: FieldSpec) -> list[Cochain2]:
-    """Canonical basis of the space of 2-coboundaries: the images of the
-    indicator 1-cochains, row-reduced, nonzero rows kept."""
+def _coboundary_span(T: Biquandle, field: FieldSpec) -> RankTracker:
+    """The span of the 2-coboundaries: a tracker fed the coboundaries of the
+    indicator 1-cochains, so add(v) is False exactly when v is a coboundary
+    (or depends on what was added since)."""
     n = T.n
-    images = []
-    for a in range(1, n + 1):
-        lam = Cochain1(field, tuple(field.one() if i == a - 1 else field.zero()
-                                    for i in range(n)))
-        images.append(list(coboundary_of(T, lam).coeffs))
-    R, pivots = rref(ExactMatrix.from_rows(images, field), field)
-    return [Cochain2(field, tuple(R.entries[i].get(k, field.zero()) for k in range(n * n)))
-            for i in range(len(pivots))]
+    span = RankTracker(field, n * n)
+    for a in range(n):
+        lam = Cochain1(field, tuple(field.one() if i == a else field.zero() for i in range(n)))
+        span.add(coboundary_of(T, lam).coeffs)
+    return span
+
+
+def coboundary_basis(T: Biquandle, field: FieldSpec) -> list[Cochain2]:
+    """Canonical basis of the space of 2-coboundaries: the nonzero rows of
+    the reduced row echelon form of the indicator images, in pivot order."""
+    zero, cols = field.zero(), T.n ** 2
+    return [Cochain2(field, tuple(row.get(k, zero) for k in range(cols)))
+            for row in _coboundary_span(T, field).rows()]
+
+
+def _representatives(T: Biquandle, field: FieldSpec, rows: list[dict]) -> list[tuple]:
+    """The canonical kernel basis vectors of the sparse rows that extend
+    the span of the coboundaries, in order."""
+    span = _coboundary_span(T, field)
+    M = ExactMatrix(len(rows), T.n ** 2, rows)
+    return [v for v in kernel_basis(M, field) if span.add(v)]
 
 
 def cohomology_basis(T: Biquandle, field: FieldSpec) -> list[Cochain2]:
     """Representatives of H2: kernel basis vectors of the cocycle matrix
     that extend the span of the coboundaries, in canonical order."""
-    cob = coboundary_basis(T, field)
-    tracker = RankTracker(field, T.n ** 2)
-    for b in cob:
-        tracker.add(b.coeffs)
-    reps = []
-    for v in kernel_basis(cocycle_matrix(T, field), field):
-        if tracker.add(v):
-            reps.append(Cochain2(field, v))
-    return reps
+    return [Cochain2(field, v)
+            for v in _representatives(T, field, cocycle_matrix(T, field).entries)]
 
 
 def ri_constraint_pairs(T: Biquandle) -> list[tuple[int, int]]:
@@ -178,18 +185,10 @@ def reduced_cohomology_basis(T: Biquandle, field: FieldSpec) -> list[Cochain2]:
     n = T.n
     rows = cocycle_matrix(T, field).entries
     rows += [{(x - 1) * n + (y - 1): field.one()} for x, y in ri_constraint_pairs(T)]
-    stacked = ExactMatrix(len(rows), n * n, rows)
-
-    tracker = RankTracker(field, n * n)
-    for b in coboundary_basis(T, field):
-        tracker.add(b.coeffs)
-    reps = []
-    for v in kernel_basis(stacked, field):
-        if tracker.add(v):
-            if field.is_rational:
-                v = _primitive(v)
-            reps.append(Cochain2(field, v))
-    return reps
+    reps = _representatives(T, field, rows)
+    if field.is_rational:
+        reps = [_primitive(v) for v in reps]
+    return [Cochain2(field, v) for v in reps]
 
 
 class CochainClass(Enum):
@@ -208,8 +207,7 @@ def classify_cochain(T: Biquandle, v: Cochain2) -> ClassifiedCochain:
     ri = is_ri_reduced(T, v)
     if not is_cocycle(T, v):
         return ClassifiedCochain(CochainClass.NOT_COCYCLE, ri)
-    basis = [b.coeffs for b in coboundary_basis(T, v.field)]
-    if in_span(basis, v.coeffs, v.field):
+    if not _coboundary_span(T, v.field).add(v.coeffs):
         return ClassifiedCochain(CochainClass.COBOUNDARY, ri)
     return ClassifiedCochain(CochainClass.NONTRIVIAL_COCYCLE, ri)
 

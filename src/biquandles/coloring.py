@@ -64,10 +64,6 @@ def _scan_chunk(T: Biquandle, reduced: Presentation, trace, n_semi_arcs: int,
     return found
 
 
-def _scan_chunk_star(args):
-    return _scan_chunk(*args)
-
-
 def check_search_size(n: int, survivors: int) -> None:
     """Raise SearchLimitError if n^survivors candidates exceed the cap."""
     total = n ** survivors
@@ -78,8 +74,6 @@ def check_search_size(n: int, survivors: int) -> None:
 
 def enumerate_colorings(code: GaussCode, T: Biquandle, jobs: int = 1) -> list[tuple[int, ...]]:
     """All colorings, via reduction plus brute force over the survivors."""
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
     reduced, trace = reduce_with_trace(knot_presentation(code))
     return scan_reduction(T, reduced, trace, code.n_semi_arcs, jobs)
 
@@ -88,6 +82,8 @@ def scan_reduction(T: Biquandle, reduced: Presentation, trace, n_semi_arcs: int,
                    jobs: int = 1) -> list[tuple[int, ...]]:
     """All colorings, by brute force over the survivors of a reduction
     (as reduce_with_trace returns it) of a code's knot presentation."""
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     n, k = T.n, len(reduced.generators)
     check_search_size(n, k)
     total = n ** k
@@ -98,7 +94,7 @@ def scan_reduction(T: Biquandle, reduced: Presentation, trace, n_semi_arcs: int,
         tasks = [(T, reduced, trace, n_semi_arcs, lo, min(lo + step, total))
                  for lo in range(0, total, step)]
         with multiprocessing.Pool(jobs) as pool:
-            found = [c for chunk in pool.map(_scan_chunk_star, tasks) for c in chunk]
+            found = [c for chunk in pool.starmap(_scan_chunk, tasks) for c in chunk]
     found.sort()
     return found
 

@@ -8,11 +8,12 @@ Matrices are sparse: row i of an ExactMatrix is a dict {column: nonzero
 value}.  One elimination kernel serves every entry point: RankTracker
 keeps its rows fully reduced (each row is 1 at its leading column, its
 pivot, and every other row is 0 there), so feeding it the rows of a matrix
-one at a time builds the reduced row echelon form.  rref, rank, in_span and
-kernel_basis all read their answers off that form.  The work follows the
-nonzeros rather than rows x columns; the cocycle matrices of cohomology.py
-are n^3 x n^2 with at most 6 nonzeros per row.  The RREF of a matrix is
-unique, so the order in which rows are fed does not change any result.
+one at a time builds the reduced row echelon form.  rref and kernel_basis
+read their answers off that form, and an independence or membership test
+is one RankTracker.add.  The work follows the nonzeros rather than rows x
+columns; the cocycle matrices of cohomology.py are n^3 x n^2 with at most
+6 nonzeros per row.  The RREF of a matrix is unique, so the order in
+which rows are fed does not change any result.
 
 Over Q, kernel_basis of an integer matrix first eliminates modulo the
 prime 2^61 - 1, lifts the kernel vectors by rational reconstruction and
@@ -35,18 +36,16 @@ _MR_BOUND = 318665857834031151167461
 
 
 def _is_prime(p: int) -> bool:
+    """Deterministic primality; ValueError at or above _MR_BOUND, where
+    these bases prove nothing and no other test is quick."""
     if p < 2:
         return False
     for q in _MR_BASES:
         if p % q == 0:
             return p == q
     if p >= _MR_BOUND:
-        d = 41
-        while d * d <= p:
-            if p % d == 0:
-                return False
-            d += 2
-        return True
+        raise ValueError(f"modulus {p} is above the proven Miller-Rabin range "
+                         f"(below {_MR_BOUND})")
     d, s = p - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -196,6 +195,11 @@ class RankTracker:
     def rank(self) -> int:
         return len(self._rows)
 
+    def rows(self) -> list[dict]:
+        """The stored sparse rows in ascending pivot order: the nonzero rows
+        of the reduced row echelon form of everything fed so far."""
+        return [self._rows[c] for c in sorted(self._rows)]
+
     def add(self, v) -> bool:
         """Reduce v against the stored rows; True iff v was independent."""
         coerce = self.field.coerce
@@ -235,14 +239,10 @@ def rref(M: ExactMatrix, F: FieldSpec) -> tuple[ExactMatrix, list[int]]:
     coerce = F.coerce
     for row in M.entries:
         tracker._insert({c: y for c, y in ((c, coerce(x)) for c, x in row.items()) if y})
-    pivots = sorted(tracker._rows)
-    reduced = [tracker._rows[c] for c in pivots]
+    reduced = tracker.rows()
+    pivots = [min(row) + 1 for row in reduced]
     reduced += [{} for _ in range(M.rows - len(reduced))]
-    return ExactMatrix(M.rows, M.cols, reduced), [c + 1 for c in pivots]
-
-
-def rank(M: ExactMatrix, F: FieldSpec) -> int:
-    return len(rref(M, F)[1])
+    return ExactMatrix(M.rows, M.cols, reduced), pivots
 
 
 def _free_parts(R: ExactMatrix, pivots: list[int], F: FieldSpec) -> dict[int, dict]:
@@ -361,11 +361,3 @@ def matvec(M: ExactMatrix, v, F: FieldSpec):
                 s = F.add(s, F.mul(a, v[c]))
         out.append(s)
     return tuple(out)
-
-
-def in_span(vectors: list, v, F: FieldSpec) -> bool:
-    """Exact membership of v in the span of the given vectors."""
-    tracker = RankTracker(F, len(v))
-    for w in vectors:
-        tracker.add(w)
-    return not tracker.add(v)

@@ -238,6 +238,45 @@ def test_jobs_must_be_positive(run, data_dir, jobs):
     assert "--jobs" in err
 
 
+# --- file errors -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("flag", ["--biquandle", "--code", "--cocycle", "--classify"])
+def test_directory_as_input_file(run, data_dir, tmp_path, flag):
+    if flag == "--classify":
+        argv = ["cohomology", "--biquandle", str(data_dir / "kishinoT.bq"),
+                "--classify", "{dir}"]
+    else:
+        argv = ["invariant", "--biquandle", str(data_dir / "kishinoT.bq"),
+                "--code", str(data_dir / "unknot.gauss"),
+                "--cocycle", str(data_dir / "phi1.cyc")]
+        argv[argv.index(flag) + 1] = "{dir}"
+    rc, _, err = run(*(a.format(dir=tmp_path) for a in argv))
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "1", "-o", "{file}/x"),  # NotADirectoryError
+    ("cohomology", "--biquandle", "{bq}", "-o", "{file}"),  # FileExistsError
+    ("alexander", "3", "1", "2", "-o", "{dir}"),  # IsADirectoryError
+])
+def test_output_path_blocked(run, data_dir, tmp_path, argv):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    rc, out, err = run(*(a.format(file=afile, dir=tmp_path, bq=data_dir / "kishinoT.bq")
+                         for a in argv))
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_huge_modulus_refused_at_once(run, data_dir):
+    rc, out, err = run("cohomology", "--field", "Zp:1000000000000000000000000000057",
+                       "--biquandle", str(data_dir / "kishinoT.bq"))
+    assert (rc, out) == (1, "")
+    assert "above the proven Miller-Rabin range" in err and err.count("\n") == 1
+
+
 # --- invariant and suite -----------------------------------------------------
 
 

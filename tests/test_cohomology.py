@@ -13,11 +13,37 @@ from biquandles.cohomology import (Cochain1, Cochain2, ClassifiedCochain, Cochai
                                    ri_constraint_pairs, write_cochain,
                                    zero_cochain)
 from biquandles.core import ParseError, alexander_biquandle
-from biquandles.linalg import FieldSpec
+from biquandles.linalg import ExactMatrix, FieldSpec, RankTracker, rref
 
 Q = FieldSpec.from_name("Q")
 F2 = FieldSpec.from_name("Zp:2")
+F3 = FieldSpec.from_name("Zp:3")
 F5 = FieldSpec.from_name("Zp:5")
+FIELDS = [Q, F2, F3, F5]
+
+# Alexander tables (n, s, t) of orders 3-8, with s = t and s != t
+ALEXANDER = [(3, 1, 2), (3, 2, 2), (4, 1, 3), (4, 3, 3), (5, 2, 3), (5, 4, 2),
+             (6, 1, 5), (6, 5, 5), (7, 2, 3), (7, 3, 5), (8, 3, 5), (8, 5, 7)]
+
+
+@pytest.fixture(scope="module")
+def tables(kishino_T):
+    return [("kishinoT", kishino_T)] + [
+        (f"A({n},{s},{t})", alexander_biquandle(n, s, t)) for n, s, t in ALEXANDER]
+
+
+def reference_coboundary_basis(T, field):
+    """Dense images of the indicator 1-cochains, row-reduced as a matrix;
+    the reference for the coboundary span."""
+    n = T.n
+    images = []
+    for a in range(1, n + 1):
+        lam = Cochain1(field, tuple(field.one() if i == a - 1 else field.zero()
+                                    for i in range(n)))
+        images.append(list(coboundary_of(T, lam).coeffs))
+    R, pivots = rref(ExactMatrix.from_rows(images, field), field)
+    return [Cochain2(field, tuple(R.entries[i].get(k, field.zero()) for k in range(n * n)))
+            for i in range(len(pivots))]
 
 REDUCED_BASIS_TEXT = [
     "X(1,3)+X(2,1)+X(2,2)+X(3,2)",
@@ -77,11 +103,12 @@ def test_unreduced_h2(kishino_T):
     basis = cohomology_basis(kishino_T, Q)
     assert len(basis) == 3
     assert sum(1 for v in basis if not is_ri_reduced(kishino_T, v)) == 1
-    cob = [b.coeffs for b in coboundary_basis(kishino_T, Q)]
-    from biquandles.linalg import in_span
+    span = RankTracker(Q, 16)
+    for b in coboundary_basis(kishino_T, Q):
+        span.add(b.coeffs)
     for v in basis:
         assert is_cocycle(kishino_T, v)
-        assert not in_span(cob, v.coeffs, Q)
+        assert span.add(v.coeffs)  # independent of the coboundaries and the others
 
 
 def test_cocycle_matrix_shape(kishino_T):
@@ -115,6 +142,54 @@ def test_constant_cochain_has_zero_coboundary(kishino_T):
 
 def test_coboundary_basis_dimension(kishino_T):
     assert len(coboundary_basis(kishino_T, Q)) == 3
+
+
+def test_coboundary_basis_matches_reference(tables):
+    for name, T in tables:
+        for F in FIELDS:
+            got = coboundary_basis(T, F)
+            want = reference_coboundary_basis(T, F)
+            assert got == want, f"{name} over {F.name()}"
+            leads = [next(k for k, c in enumerate(v.coeffs) if c) for v in got]
+            assert leads == sorted(set(leads))  # echelon form, in pivot order
+            assert [type(c) for v in got for c in v.coeffs] == \
+                [type(c) for v in want for c in v.coeffs]
+
+
+def test_universal_coefficients(tables):
+    # H^2 of an integer cochain complex: dim over Z_p = free rank + p-torsion
+    # terms >= free rank = dim over Q.
+    for name, T in tables:
+        over_q = len(cohomology_basis(T, Q))
+        for F in (F2, F3, F5):
+            assert len(cohomology_basis(T, F)) >= over_q, f"{name} over {F.name()}"
+
+
+def test_classify_random_sums(tables):
+    # A nonzero combination of H^2 representatives plus any coboundary is
+    # a nontrivial cocycle; a coboundary alone is a coboundary.
+    rng = random.Random(20261018)
+    nontrivial = 0
+    for name, T in tables:
+        for F in FIELDS:
+            basis = cohomology_basis(T, F)
+            for _ in range(3):
+                lam = Cochain1(F, tuple(F.coerce(rng.randrange(-9, 10)) for _ in range(T.n)))
+                cb = coboundary_of(T, lam).coeffs
+                got = classify_cochain(T, Cochain2(F, cb))
+                assert got.kind is CochainClass.COBOUNDARY, f"{name} over {F.name()}"
+                if not basis:
+                    continue
+                coeffs = [F.coerce(rng.randrange(-9, 10)) for _ in basis]
+                if not any(coeffs):
+                    coeffs[rng.randrange(len(coeffs))] = F.one()
+                v = cb
+                for c, b in zip(coeffs, basis):
+                    v = tuple(F.add(x, F.mul(c, y)) for x, y in zip(v, b.coeffs))
+                got = classify_cochain(T, Cochain2(F, v))
+                assert got.kind is CochainClass.NONTRIVIAL_COCYCLE, f"{name} over {F.name()}"
+                nontrivial += 1
+    assert nontrivial >= 30
 
 
 def test_ri_constraint_pairs(kishino_T):

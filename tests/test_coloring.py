@@ -5,9 +5,11 @@ import random
 import pytest
 
 from biquandles.coloring import (SearchLimitError, counting_invariant,
-                                 enumerate_colorings, enumerate_colorings_oracle)
+                                 enumerate_colorings, enumerate_colorings_oracle,
+                                 scan_reduction)
 from biquandles.core import alexander_biquandle
 from biquandles.gauss import crossings_of, insert_r_move, parse_gauss_code
+from biquandles.presentation import knot_presentation, reduce_with_trace
 
 
 def test_unknot_colorings(unknot_code, kishino_T):
@@ -77,6 +79,16 @@ def test_parallel_matches_serial(conway_code):
 def test_jobs_validation(unknot_code, kishino_T):
     with pytest.raises(ValueError, match="jobs must be >= 1"):
         enumerate_colorings(unknot_code, kishino_T, jobs=0)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_scan_reduction_checks_jobs(unknot_code, conway_code, kishino_T, jobs):
+    # Checked before any work, on a one-candidate search as on one large
+    # enough to split across workers (7^5 candidates).
+    for code, T in ((unknot_code, kishino_T), (conway_code, alexander_biquandle(7, 2, 3))):
+        reduced, trace = reduce_with_trace(knot_presentation(code))
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            scan_reduction(T, reduced, trace, code.n_semi_arcs, jobs=jobs)
 
 
 def test_search_limit(conway_code):

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from biquandles.linalg import (MODULAR_PRIME, QQ, ExactMatrix, FieldSpec,
-                               RankTracker, _is_prime, _modular_kernel_basis,
-                               in_span, kernel_basis, matvec, rank, rref)
+                               _MR_BOUND, RankTracker, _is_prime,
+                               _modular_kernel_basis, kernel_basis, matvec, rref)
 
 F2 = FieldSpec(2)
 F5 = FieldSpec(5)
@@ -55,6 +55,13 @@ def reference_kernel(rows: list, n_cols: int, F: FieldSpec) -> list[tuple]:
     return basis
 
 
+def span_of(vectors: list, F: FieldSpec, dim: int) -> RankTracker:
+    tracker = RankTracker(F, dim)
+    for w in vectors:
+        tracker.add(w)
+    return tracker
+
+
 def random_rows(rng: random.Random, F: FieldSpec, n_rows: int, n_cols: int) -> list[list]:
     """Sparse random rows over F, with zero rows and rows that are
     combinations of earlier ones mixed in."""
@@ -96,7 +103,6 @@ def test_sparse_elimination_matches_reference(F, seed):
     R, pivots = rref(M, F)
     assert (R.rows, R.cols) == (n_rows, n_cols)
     assert (R.data, pivots) == (ref_R, ref_pivots)
-    assert rank(M, F) == len(ref_pivots)
     assert kernel_basis(M, F) == reference_kernel(rows, n_cols, F)
 
     tracker = RankTracker(F, n_cols)
@@ -104,10 +110,13 @@ def test_sparse_elimination_matches_reference(F, seed):
     for k, row in enumerate(rows):
         assert tracker.add(row) == (prefix_ranks[k + 1] > prefix_ranks[k])
     assert tracker.rank == len(ref_pivots)
+    dense = [[row.get(c, 0) for c in range(n_cols)] for row in tracker.rows()]
+    assert dense == ref_R[:len(ref_pivots)]
 
+    # membership: add(v) on the span of the rows is False iff v is in it
     for v in (rows[-1], random_rows(rng, F, 1, n_cols)[0]):
         expected = len(reference_rref(rows + [v], F)[1]) == len(ref_pivots)
-        assert in_span(rows, v, F) == expected
+        assert (not span_of(rows, F, n_cols).add(v)) == expected
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -175,6 +184,18 @@ def test_large_primes_and_pseudoprimes():
             FieldSpec(composite)
 
 
+def test_moduli_above_the_proven_range_are_refused():
+    # Miller-Rabin on these bases proves nothing from _MR_BOUND up (the bound
+    # itself is a strong pseudoprime to all twelve); refusing is immediate
+    # where trial division would not end.
+    for p in (_MR_BOUND, 10 ** 30 + 57, 2 ** 127 - 1):
+        with pytest.raises(ValueError, match="above the proven Miller-Rabin range"):
+            FieldSpec(p)
+    with pytest.raises(ValueError, match="not prime"):
+        FieldSpec(2 * 10 ** 30)  # a small factor still proves it composite
+    assert _is_prime(_MR_BOUND - 2) is False  # just below: answered, not refused
+
+
 def test_is_prime_matches_sieve():
     limit = 20000
     sieve = [True] * limit
@@ -231,7 +252,7 @@ def test_rref_mod_p():
     assert pivots == [1, 2]
     assert R.data == [[1, 0], [0, 1]]
     singular = ExactMatrix.from_rows([[2, 1], [1, 3]], F5)  # det = 5 = 0
-    assert rank(singular, F5) == 1
+    assert span_of(singular.data, F5, 2).rank == 1
 
 
 def test_kernel_identity_empty():
@@ -259,11 +280,17 @@ def test_kernel_vectors_annihilate():
 
 
 def test_rank_and_span():
-    assert rank(ExactMatrix.from_rows([[1, 2], [2, 4]], QQ), QQ) == 1
-    assert in_span([(1, 0), (0, 1)], (5, -3), QQ)
-    assert not in_span([(1, 1)], (1, 2), QQ)
-    assert in_span([], (0, 0), QQ)
-    assert not in_span([], (1, 0), QQ)
+    assert span_of([(1, 2), (2, 4)], QQ, 2).rank == 1
+    assert not span_of([(1, 0), (0, 1)], QQ, 2).add((5, -3))
+    assert span_of([(1, 1)], QQ, 2).add((1, 2))
+    assert not span_of([], QQ, 2).add((0, 0))
+    assert span_of([], QQ, 2).add((1, 0))
+
+
+def test_rank_tracker_rows_in_pivot_order():
+    tracker = span_of([(0, 1, 1), (1, 2, 3), (0, 2, 2)], QQ, 3)
+    assert tracker.rows() == [{0: 1, 2: 1}, {1: 1, 2: 1}]
+    assert span_of([], F5, 3).rows() == []
 
 
 def test_rank_tracker_matches_batch_rank():
@@ -271,7 +298,7 @@ def test_rank_tracker_matches_batch_rank():
     tracker = RankTracker(QQ, 3)
     added = [tracker.add(v) for v in vectors]
     assert added == [True, False, True, False]
-    assert tracker.rank == rank(ExactMatrix.from_rows([list(v) for v in vectors], QQ), QQ)
+    assert tracker.rank == len(rref(ExactMatrix.from_rows([list(v) for v in vectors], QQ), QQ)[1])
 
 
 def test_rank_tracker_mod_p():
