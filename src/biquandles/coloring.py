@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import multiprocessing
 
-from .core import Biquandle
+from .core import Biquandle, compile_sides
 from .gauss import GaussCode
 from .presentation import (Gen, Presentation, eval_word, knot_presentation,
                            reduce_with_trace)
-from .search import Engine, compile_sides
+from .search import Engine
 
 CANDIDATE_LIMIT = 10 ** 8
 _PARALLEL_THRESHOLD = 2048

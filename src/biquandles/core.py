@@ -15,10 +15,11 @@ S^-1(a,b) = (b^abar, a_bbar).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 
 class OpKind(IntEnum):
@@ -159,8 +160,10 @@ def switch_inv(T: Biquandle, a: int, b: int) -> tuple[int, int]:
 # Axiom equations as expression trees.
 #
 # An expression is either a variable index (int: 0=a, 1=b, 2=c) or a tuple
-# (OpKind, left, right).  The same trees drive full validation here and
-# blank-cell propagation in the search module.
+# (OpKind, left, right).  compile_sides turns the trees into flat steps:
+# validate_biquandle runs one compiled copy of each equation for every
+# choice of variables, and the search module compiles one copy per axiom
+# instance for blank-cell propagation.
 
 Expr = "int | tuple"
 
@@ -192,32 +195,90 @@ AXIOM_TRIPLE_EQS: tuple[tuple[str, "Expr", "Expr"], ...] = (
 )
 
 
-def eval_axiom_expr(tables, expr, vals) -> int:
-    """Evaluate an axiom expression tree on complete tables.
+# Compiled equations work on one int array of slots.  The four n x n tables
+# come first, cell (k, a, b) at slot k*n*n + (a-1)*n + (b-1); a step reading
+# table k therefore has offset k*n*n - n - 1.  Each user puts its own slots
+# after the cells, and the scratch slots that steps write go last.
 
-    tables is Biquandle.tables; vals assigns elements to variable slots.
+def compile_sides(equations, n: int, first_scratch: int):
+    """Compile (lhs, rhs) expression pairs into a flat tuple of sides.
+
+    An expression is a slot number or a tuple (OpKind, left, right).  Each
+    tuple becomes a step (offset, x, y, out): when slots x and y hold u and
+    v, the step reads the table cell at slot offset + u*n + v into the
+    scratch slot out.  Side 2e is the left side of equation e and side
+    2e + 1 its right side; a side is (steps, out), where out is the slot
+    holding its value once every step has run (for a bare slot, the slot
+    itself).  The two sides of an equation write the same scratch slots.
+    Returns the sides and the number of scratch slots they use.
     """
+    sides = []
+    scratch = 0
+    shared: dict = {}  # one object per distinct step and side, to save memory
+    for pair in equations:
+        for expr in pair:
+            steps: list[tuple[int, int, int, int]] = []
+
+            def emit(e):
+                if isinstance(e, int):
+                    return e
+                kind, left, right = e
+                x, y = emit(left), emit(right)
+                out = first_scratch + len(steps)
+                step = (kind * n * n - n - 1, x, y, out)
+                steps.append(shared.setdefault(step, step))
+                return out
+
+            out = emit(expr)
+            scratch = max(scratch, len(steps))
+            side = (tuple(steps), out)
+            sides.append(shared.setdefault(side, side))
+    return tuple(sides), scratch
+
+
+def place_variables(expr, slots):
+    """The expression with each variable index i replaced by slots[i]."""
     if isinstance(expr, int):
-        return vals[expr]
+        return slots[expr]
     kind, left, right = expr
-    u = eval_axiom_expr(tables, left, vals)
-    v = eval_axiom_expr(tables, right, vals)
-    return tables[kind][u - 1][v - 1]
+    return (kind, place_variables(left, slots), place_variables(right, slots))
 
 
-def _axiom2_witnesses(T: Biquandle, a: int, b: int) -> tuple[list[int], list[int]]:
-    """Solutions (x, y) of the axiom 2 systems at the pair (a, b)."""
-    xs = []
-    ys = []
-    for x in range(1, T.n + 1):
-        bx = T.downbar(b, x)
-        if T.up(a, bx) == x and T.upbar(x, b) == a and T.down(bx, a) == b:
-            xs.append(x)
-    for y in range(1, T.n + 1):
-        by = T.down(b, y)
-        if T.upbar(a, by) == y and T.up(y, b) == a and T.downbar(by, a) == b:
-            ys.append(y)
-    return xs, ys
+@lru_cache(maxsize=8)
+def _compiled_axioms(n: int):
+    """The ten axiom 1 and 3 equations compiled once for order n, on the
+    4n^2 cells, then the variables a, b, c, then scratch.  Returns
+    ((arity, [(axiom id, lhs steps, lhs out, rhs steps, rhs out)]) for the
+    pair and the triple equations, number of slots after the cells)."""
+    slots = range(4 * n * n, 4 * n * n + 3)
+    eqs = AXIOM_PAIR_EQS + AXIOM_TRIPLE_EQS
+    sides, scratch = compile_sides([(place_variables(lhs, slots), place_variables(rhs, slots))
+                                    for _id, lhs, rhs in eqs], n, slots[-1] + 1)
+    compiled = [(eq_id, *sides[2 * e], *sides[2 * e + 1]) for e, (eq_id, _l, _r) in enumerate(eqs)]
+    pairs = len(AXIOM_PAIR_EQS)
+    return ((2, compiled[:pairs]), (3, compiled[pairs:])), 3 + scratch
+
+
+def existential_failures(T: Biquandle) -> list[tuple[str, tuple[int, ...]]]:
+    """Failures of the existential axioms, as (axiom id, witness): axiom 2
+    asks at every pair (a, b) for solutions x and y of the two systems
+    below, axiom 4 for kink witnesses at every a."""
+    rng = range(1, T.n + 1)
+    failures = []
+    for a in rng:
+        for b in rng:
+            if not any(T.up(a, T.downbar(b, x)) == x and T.upbar(x, b) == a
+                       and T.down(T.downbar(b, x), a) == b for x in rng):
+                failures.append(("2.i-iii", (a, b)))
+            if not any(T.upbar(a, T.down(b, y)) == y and T.up(y, b) == a
+                       and T.downbar(T.down(b, y), a) == b for y in rng):
+                failures.append(("2.iv-vi", (a, b)))
+    for a, (xs, ys) in kink_witnesses(T).items():
+        if not xs:
+            failures.append(("4.i-ii", (a,)))
+        if not ys:
+            failures.append(("4.iii-iv", (a,)))
+    return failures
 
 
 def kink_witnesses(T: Biquandle) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -246,55 +307,40 @@ def validate_biquandle(T: Biquandle) -> ValidationReport:
     Failures are reported as (axiom id, witness), sorted, first 100 only.
     """
     n = T.n
-    tables = T.tables
-    failures: list[tuple[str, tuple[int, ...]]] = []
+    first_var = 4 * n * n
+    groups, extra = _compiled_axioms(n)
+    val = [v for t in T.tables for row in t for v in row] + [0] * extra
+    failures = existential_failures(T)
 
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            vals = (a, b)
-            for eq_id, lhs, rhs in AXIOM_PAIR_EQS:
-                if eval_axiom_expr(tables, lhs, vals) != eval_axiom_expr(tables, rhs, vals):
+    for arity, eqs in groups:
+        for vals in itertools.product(range(1, n + 1), repeat=arity):
+            val[first_var:first_var + arity] = vals
+            for eq_id, lsteps, lout, rsteps, rout in eqs:
+                for o, x, y, t in lsteps:
+                    val[t] = val[o + val[x] * n + val[y]]
+                left = val[lout]  # the right side reuses the scratch slots
+                for o, x, y, t in rsteps:
+                    val[t] = val[o + val[x] * n + val[y]]
+                if val[rout] != left:
                     failures.append((eq_id, vals))
-            xs, ys = _axiom2_witnesses(T, a, b)
-            if not xs:
-                failures.append(("2.i-iii", vals))
-            if not ys:
-                failures.append(("2.iv-vi", vals))
-
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            for c in range(1, n + 1):
-                vals = (a, b, c)
-                for eq_id, lhs, rhs in AXIOM_TRIPLE_EQS:
-                    if eval_axiom_expr(tables, lhs, vals) != eval_axiom_expr(tables, rhs, vals):
-                        failures.append((eq_id, vals))
-
-    for a, (xs, ys) in kink_witnesses(T).items():
-        if not xs:
-            failures.append(("4.i-ii", (a,)))
-        if not ys:
-            failures.append(("4.iii-iv", (a,)))
 
     # Yang-Baxter equation: (SxId)(IdxS)(SxId) = (IdxS)(SxId)(IdxS).
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            for c in range(1, n + 1):
-                p, q = switch(T, a, b)
-                q2, r2 = switch(T, q, c)
-                p3, q3 = switch(T, p, q2)
-                left = (p3, q3, r2)
-                q4, r4 = switch(T, b, c)
-                p5, q5 = switch(T, a, q4)
-                q6, r6 = switch(T, q5, r4)
-                right = (p5, q6, r6)
-                if left != right:
-                    failures.append(("yang-baxter", (a, b, c)))
+    for a, b, c in itertools.product(range(1, n + 1), repeat=3):
+        p, q = switch(T, a, b)
+        q2, r2 = switch(T, q, c)
+        p3, q3 = switch(T, p, q2)
+        left = (p3, q3, r2)
+        q4, r4 = switch(T, b, c)
+        p5, q5 = switch(T, a, q4)
+        q6, r6 = switch(T, q5, r4)
+        right = (p5, q6, r6)
+        if left != right:
+            failures.append(("yang-baxter", (a, b, c)))
 
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            if switch_inv(T, *switch(T, a, b)) != (a, b) or \
-                    switch(T, *switch_inv(T, a, b)) != (a, b):
-                failures.append(("switch-inverse", (a, b)))
+    for a, b in itertools.product(range(1, n + 1), repeat=2):
+        if switch_inv(T, *switch(T, a, b)) != (a, b) or \
+                switch(T, *switch_inv(T, a, b)) != (a, b):
+            failures.append(("switch-inverse", (a, b)))
 
     failures.sort()
     return ValidationReport(ok=not failures, failures=tuple(failures[:100]))

@@ -2,23 +2,23 @@
 
 The engine (``Engine``) holds every unknown and every constant of a search
 in one int array of slots, with 0 marking a blank slot.  Each equation is
-compiled once into two sides of flat steps ``(offset, x, y, out)``: when
-slots x and y hold u and v, the step reads the table cell at slot
-``offset + u*n + v`` into the scratch slot ``out``.  A side blocked on a
-blank slot sits in that slot's watch list, so filling a slot re-checks only
-the sides waiting for it.  A side that evaluates completely against another
-blocked exactly at its outermost read forces that slot; two complete sides
-that differ are a contradiction.  Every assignment and every watch entry
-goes on a trail, and backtracking pops the trail back to a mark.
+compiled once, by ``core.compile_sides``, into two sides of flat steps.  A
+side blocked on a blank slot sits in that slot's watch list, so filling a
+slot re-checks only the sides waiting for it.  A side that evaluates
+completely against another blocked exactly at its outermost read forces
+that slot; two complete sides that differ are a contradiction.  Every
+assignment and every watch entry goes on a trail, and backtracking pops
+the trail back to a mark.
 
 Two searches run on it:
 
   the table search   (``TableSearch``, ``complete_partial``,
                      ``enumerate_biquandles``): the 4n^2 table cells are
                      the unknowns and the equational axioms (1 and 3) the
-                     equations, one per instance; completed tables are
-                     validated in full, which is where the existential
-                     axioms (2 and 4) are checked;
+                     equations, one per instance.  Every blocked side is
+                     watched until it completes, so a completed table
+                     satisfies all of them, and only the existential
+                     axioms (2 and 4) are left to check there;
   the coloring oracle (``coloring.enumerate_colorings_oracle``): the table
                      cells are known constants, the semi-arcs the unknowns,
                      and the crossing relations the equations.
@@ -32,11 +32,13 @@ is filled, since filling other cells cannot change it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (AXIOM_PAIR_EQS, AXIOM_TRIPLE_EQS, Biquandle, OpKind,
-                   validate_biquandle, write_biquandle)
+                   compile_sides, existential_failures, place_variables,
+                   write_biquandle)
 
 Cell = tuple[OpKind, int, int]  # (table, row element, column element), 1-based
 
@@ -87,59 +89,14 @@ class PartialBiquandle:
 
 def axiom_instances(n: int):
     """Every equational axiom instance: (axiom id, lhs, rhs, variable values)."""
-    out = []
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            for eq_id, lhs, rhs in AXIOM_PAIR_EQS:
-                out.append((eq_id, lhs, rhs, (a, b)))
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            for c in range(1, n + 1):
-                for eq_id, lhs, rhs in AXIOM_TRIPLE_EQS:
-                    out.append((eq_id, lhs, rhs, (a, b, c)))
-    return out
+    return [(eq_id, lhs, rhs, vals)
+            for arity, eqs in ((2, AXIOM_PAIR_EQS), (3, AXIOM_TRIPLE_EQS))
+            for vals in itertools.product(range(1, n + 1), repeat=arity)
+            for eq_id, lhs, rhs in eqs]
 
 
 # ---------------------------------------------------------------------------
 # The engine.
-#
-# Slot layout: the four n x n tables come first, cell (k, a, b) at slot
-# k*n*n + (a-1)*n + (b-1); a step reading table k therefore has offset
-# k*n*n - n - 1.  Each search puts its own slots after the cells, and the
-# scratch slots that steps write go last.
-
-def compile_sides(equations, n: int, first_scratch: int):
-    """Compile (lhs, rhs) expression pairs into a flat tuple of sides.
-
-    An expression is a slot number or a tuple (OpKind, left, right).  Side
-    2e is the left side of equation e and side 2e + 1 its right side; a
-    side is (steps, out), where out is the slot holding its value once
-    every step has run (for a bare slot, the slot itself).  Returns the
-    sides and the number of scratch slots they use.
-    """
-    sides = []
-    scratch = 0
-    shared: dict = {}  # one object per distinct step and side, to save memory
-    for pair in equations:
-        for expr in pair:
-            steps: list[tuple[int, int, int, int]] = []
-
-            def emit(e):
-                if isinstance(e, int):
-                    return e
-                kind, left, right = e
-                x, y = emit(left), emit(right)
-                out = first_scratch + len(steps)
-                step = (kind * n * n - n - 1, x, y, out)
-                steps.append(shared.setdefault(step, step))
-                return out
-
-            out = emit(expr)
-            scratch = max(scratch, len(steps))
-            side = (tuple(steps), out)
-            sides.append(shared.setdefault(side, side))
-    return tuple(sides), scratch
-
 
 class Engine:
     """Fill-and-propagate over one int array; see the module docstring.
@@ -282,12 +239,8 @@ def _axiom_sides(n: int):
     first_constant = 4 * n * n
     equations = []
     for _eq_id, lhs, rhs, vals in axiom_instances(n):
-        def place(e):
-            if isinstance(e, int):
-                return first_constant + vals[e] - 1
-            kind, left, right = e
-            return (kind, place(left), place(right))
-        equations.append((place(lhs), place(rhs)))
+        slots = [first_constant + v - 1 for v in vals]
+        equations.append((place_variables(lhs, slots), place_variables(rhs, slots)))
     return compile_sides(equations, n, first_constant + n)
 
 
@@ -437,7 +390,7 @@ class TableSearch(Engine):
         val = self.val
         if 0 not in val[:self.cells]:
             T = self.to_biquandle()
-            if validate_biquandle(T).ok:
+            if not existential_failures(T):
                 self.found.append(T)
             return
         self._rerate(mark)

@@ -1,15 +1,198 @@
 import itertools
 import math
+import random
 
 import pytest
 
 from biquandles.core import (AXIOM_PAIR_EQS, AXIOM_TRIPLE_EQS, Biquandle,
                              BlockConvention, OpKind, ParseError,
-                             alexander_biquandle, apply_op, eval_axiom_expr,
+                             ValidationReport, alexander_biquandle, apply_op,
                              kink_witnesses, read_biquandle, switch,
                              switch_inv, validate_biquandle, write_biquandle)
+from biquandles.search import PartialBiquandle, TableSearch
 
 ONE = Biquandle((((1,),), ((1,),), ((1,),), ((1,),)))
+
+
+# --- the tree-walking reference validator -----------------------------------
+#
+# Validation as it was before the axioms were compiled: every instance walks
+# the expression trees again, and axioms 2 and 4 are checked by their own
+# loops.  validate_biquandle must give the same report.
+
+
+def eval_axiom_expr(tables, expr, vals) -> int:
+    """Evaluate an axiom expression tree on complete tables.
+
+    tables is Biquandle.tables; vals assigns elements to variable slots.
+    """
+    if isinstance(expr, int):
+        return vals[expr]
+    kind, left, right = expr
+    u = eval_axiom_expr(tables, left, vals)
+    v = eval_axiom_expr(tables, right, vals)
+    return tables[kind][u - 1][v - 1]
+
+
+def _axiom2_witnesses(T, a, b):
+    """Solutions (x, y) of the axiom 2 systems at the pair (a, b)."""
+    xs = []
+    ys = []
+    for x in range(1, T.n + 1):
+        bx = T.downbar(b, x)
+        if T.up(a, bx) == x and T.upbar(x, b) == a and T.down(bx, a) == b:
+            xs.append(x)
+    for y in range(1, T.n + 1):
+        by = T.down(b, y)
+        if T.upbar(a, by) == y and T.up(y, b) == a and T.downbar(by, a) == b:
+            ys.append(y)
+    return xs, ys
+
+
+def _kink_witnesses(T):
+    """Axiom 4 witnesses for every element a."""
+    out = {}
+    n = T.n
+    for a in range(1, n + 1):
+        xs = tuple(x for x in range(1, n + 1) if T.down(a, x) == x and T.up(x, a) == a)
+        ys = tuple(y for y in range(1, n + 1) if T.upbar(a, y) == y and T.downbar(y, a) == a)
+        out[a] = (xs, ys)
+    return out
+
+
+def reference_failures(T):
+    """Every failing axiom instance of T, sorted, without the cap."""
+    n = T.n
+    tables = T.tables
+    failures = []
+
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            vals = (a, b)
+            for eq_id, lhs, rhs in AXIOM_PAIR_EQS:
+                if eval_axiom_expr(tables, lhs, vals) != eval_axiom_expr(tables, rhs, vals):
+                    failures.append((eq_id, vals))
+            xs, ys = _axiom2_witnesses(T, a, b)
+            if not xs:
+                failures.append(("2.i-iii", vals))
+            if not ys:
+                failures.append(("2.iv-vi", vals))
+
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            for c in range(1, n + 1):
+                vals = (a, b, c)
+                for eq_id, lhs, rhs in AXIOM_TRIPLE_EQS:
+                    if eval_axiom_expr(tables, lhs, vals) != eval_axiom_expr(tables, rhs, vals):
+                        failures.append((eq_id, vals))
+
+    for a, (xs, ys) in _kink_witnesses(T).items():
+        if not xs:
+            failures.append(("4.i-ii", (a,)))
+        if not ys:
+            failures.append(("4.iii-iv", (a,)))
+
+    # Yang-Baxter equation: (SxId)(IdxS)(SxId) = (IdxS)(SxId)(IdxS).
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            for c in range(1, n + 1):
+                p, q = switch(T, a, b)
+                q2, r2 = switch(T, q, c)
+                p3, q3 = switch(T, p, q2)
+                left = (p3, q3, r2)
+                q4, r4 = switch(T, b, c)
+                p5, q5 = switch(T, a, q4)
+                q6, r6 = switch(T, q5, r4)
+                right = (p5, q6, r6)
+                if left != right:
+                    failures.append(("yang-baxter", (a, b, c)))
+
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            if switch_inv(T, *switch(T, a, b)) != (a, b) or \
+                    switch(T, *switch_inv(T, a, b)) != (a, b):
+                failures.append(("switch-inverse", (a, b)))
+
+    failures.sort()
+    return failures
+
+
+def reference_validate(T):
+    failures = reference_failures(T)
+    return ValidationReport(ok=not failures, failures=tuple(failures[:100]))
+
+
+def order_2_table(vals):
+    """The order-2 table with the 16 entries vals, table by table, row by row."""
+    return Biquandle(tuple(((vals[4 * k], vals[4 * k + 1]), (vals[4 * k + 2], vals[4 * k + 3]))
+                           for k in range(4)))
+
+
+def test_validate_matches_reference_on_order_2():
+    # every 16th of the 65,536 order-2 tables
+    checked = 0
+    for vals in itertools.islice(itertools.product((1, 2), repeat=16), 0, None, 16):
+        T = order_2_table(vals)
+        assert validate_biquandle(T) == reference_validate(T), vals
+        checked += 1
+    assert checked == 4096
+
+
+def perturbed(T, rng, cells):
+    """T with the given number of random cells set to random values."""
+    tables = [[list(row) for row in t] for t in T.tables]
+    for _ in range(cells):
+        k, a, b = rng.randrange(4), rng.randrange(T.n), rng.randrange(T.n)
+        tables[k][a][b] = rng.randint(1, T.n)
+    return Biquandle.from_tables(*tables)
+
+
+def test_validate_matches_reference_on_perturbed_tables(kishino_T):
+    rng = random.Random("validate")
+    bases = [kishino_T] + [alexander_biquandle(*p) for p in
+                           [(3, 1, 2), (3, 2, 2), (4, 1, 3), (4, 3, 3), (5, 2, 3), (5, 1, 4)]]
+    tables = [Biquandle(tuple(tuple((1,) * n for _ in range(n)) for _ in range(4)))
+              for n in range(1, 6)]
+    for T in bases:
+        tables.append(T)
+        tables += [perturbed(T, rng, cells) for cells in (1, 1, 2, 3, 5, 8, 4 * T.n * T.n)]
+    ids = set()
+    capped = 0
+    for T in tables:
+        report = validate_biquandle(T)
+        assert report == reference_validate(T), write_biquandle(T)
+        ids.update(axiom for axiom, _ in report.failures)
+        capped += len(reference_failures(T)) > 100
+    # the sample reaches the cap and every kind of failure
+    assert capped >= 5
+    assert {axiom.split(".")[0] for axiom in ids} == {"1", "2", "3", "4", "switch-inverse",
+                                                      "yang-baxter"}
+
+
+class LeafSearch(TableSearch):
+    """A table search that keeps every complete table it reaches."""
+
+    def __init__(self, P):
+        super().__init__(P)
+        self.leaves = []
+
+    def _descend(self, mark):
+        if 0 not in self.val[:self.cells]:
+            self.leaves.append(self.to_biquandle())
+        super()._descend(mark)
+
+
+@pytest.mark.parametrize("n,leaves,found", [(2, 5, 2), (3, 73, 36)])
+def test_search_leaves_satisfy_the_equational_axioms(n, leaves, found):
+    # Propagation alone guarantees axioms 1 and 3 (and so the switch
+    # checks) on a complete table: the search checks only axioms 2 and 4.
+    search = LeafSearch(PartialBiquandle.blank(n))
+    assert len(search.run()) == found
+    assert len(search.leaves) == leaves
+    for T in search.leaves:
+        failed = {axiom for axiom, _ in reference_failures(T)}
+        assert all(axiom[:2] in ("2.", "4.") for axiom in failed), failed
+        assert (T in search.found) == (not failed)
 
 
 def test_opkind_order():

@@ -1,11 +1,13 @@
 """Enumeration by propagation: ratings, forced fills, and full searches."""
 
+import itertools
+import math
 import random
 
 import pytest
 
-from biquandles.core import (OpKind, alexander_biquandle, validate_biquandle,
-                             write_biquandle)
+from biquandles.core import (Biquandle, OpKind, alexander_biquandle,
+                             validate_biquandle, write_biquandle)
 from biquandles.search import (CONTRADICTION, PartialBiquandle, TableSearch,
                                _ratings, axiom_instances, complete_partial,
                                enumerate_biquandles, propagate, rate_zero)
@@ -315,17 +317,43 @@ def test_larger_blank_subset_still_finds_original(kishino_T):
     assert all(validate_biquandle(T).ok for T in completions)
 
 
+def relabel(T, perm):
+    """T with every element x renamed perm[x - 1]."""
+    n = T.n
+    tables = [[[0] * n for _ in range(n)] for _ in range(4)]
+    for k in range(4):
+        for a in range(n):
+            for b in range(n):
+                tables[k][perm[a] - 1][perm[b] - 1] = perm[T.tables[k][a][b] - 1]
+    return Biquandle.from_tables(*tables)
+
+
+def orbit_census(found):
+    """(number of isomorphism classes, sum of n!/|Aut(T)| over the classes)
+    of a list of order-n tables closed under relabelling."""
+    classes = {}
+    for T in found:
+        images = [relabel(T, perm) for perm in itertools.permutations(range(1, T.n + 1))]
+        assert all(image in found for image in images)
+        autos = sum(image == T for image in images)
+        classes[min(write_biquandle(image) for image in images)] = \
+            math.factorial(T.n) // autos
+    return len(classes), sum(classes.values())
+
+
 def test_enumerate_one_element():
     (T,) = enumerate_biquandles(1)
     assert T.tables == tuple(((1,),) for _ in range(4))
+    assert orbit_census([T]) == (1, 1)
 
 
 def test_enumerate_two_elements():
     # Exactly two structures: every operation keeps the left element, or
-    # every operation flips it.
+    # every operation flips it.  Neither has a relabelled twin.
     keep, flip = enumerate_biquandles(2)
     assert keep.tables == tuple(((1, 1), (2, 2)) for _ in range(4))
     assert flip.tables == tuple(((2, 2), (1, 1)) for _ in range(4))
+    assert orbit_census([keep, flip]) == (2, 2)
 
 
 def test_enumerate_three_elements():
@@ -334,6 +362,8 @@ def test_enumerate_three_elements():
     assert all(validate_biquandle(T).ok for T in found)
     keys = [write_biquandle(T) for T in found]
     assert keys == sorted(keys) and len(set(keys)) == 36
+    # orbit-stabilizer: 15 classes whose orbits make up all 36 tables
+    assert orbit_census(found) == (15, 36)
 
 
 def test_enumerate_is_deterministic():
