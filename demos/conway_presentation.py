@@ -2,9 +2,8 @@
 
 A code with n crossings has 2n semi-arcs, 2n generators, and 2n relations;
 Tietze reduction eliminates generators until every remaining relation
-genuinely constrains the survivors.  The brute-force coloring search then
-runs over survivor assignments only: here 4^5 = 1024 candidates instead of
-4^22.
+genuinely constrains the survivors.  The coloring scan then backtracks over
+survivor assignments only: at most 4^5 = 1024 candidates instead of 4^22.
 
 Run from the repository root:  python3 demos/conway_presentation.py
 """

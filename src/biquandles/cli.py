@@ -10,7 +10,8 @@ Subcommands:
     suite       invariant values for a whole reduced basis
 
 Exit codes: 0 success, 1 domain error (invalid input data), 2 usage error.
-All output is deterministic; --jobs only changes wall time.
+All output is deterministic.  --jobs is accepted for compatibility and
+changes nothing: colorings run in one process.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ def _cmd_colorings(args, out):
         raise DomainError("biquandle fails validation")
     if args.show_presentation:
         _write_presentation(pres, reduced, out)
-    cols = scan_reduction(T, reduced, trace, code.n_semi_arcs, jobs=args.jobs)
+    cols = scan_reduction(T, reduced, trace, code.n_semi_arcs)
     if args.porcelain:
         out.write(json.dumps({"count": len(cols), "colorings": [list(c) for c in cols]}) + "\n")
         return 0
@@ -191,7 +192,7 @@ def _cmd_invariant(args, out):
     if args.show_presentation:
         _print_presentation(code, out)
     try:
-        value = yb_invariant(code, T, phi, jobs=args.jobs)
+        value = yb_invariant(code, T, phi)
     except ValueError as e:
         raise DomainError(str(e))
     if args.porcelain:
@@ -209,7 +210,7 @@ def _cmd_suite(args, out):
     code = _load_code(args.code)
     if args.show_presentation:
         _print_presentation(code, out)
-    results = yb_invariant_suite(code, T, args.field, jobs=args.jobs)
+    results = yb_invariant_suite(code, T, args.field)
     if args.porcelain:
         payload = [{"cocycle": format_cochain(phi),
                     "terms": [[str(e_), m] for e_, m in sorted(ms.as_dict().items())]}
@@ -246,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="{Q|Zp:<prime>}", help="coefficient field")
         if jobs:
             p.add_argument("--jobs", type=_positive_int, default=1,
-                           help="worker processes for the coloring search")
+                           help="accepted; colorings run in one process")
 
     p = sub.add_parser("validate", help="check a biquandle file")
     common(p, biquandle=True)

@@ -3,11 +3,13 @@
 Two independent enumeration strategies, kept deliberately separate so each
 can check the other:
 
-  enumerate_colorings        reduce the presentation, brute-force the
-                             surviving generators, then rebuild eliminated
-                             generators by replaying the reduction trace
-                             backwards (scan_reduction does all but the
-                             reduction, for callers that have one already);
+  enumerate_colorings        reduce the presentation, backtrack over the
+                             surviving generators, checking each reduced
+                             relation as soon as its generators are
+                             assigned, then rebuild eliminated generators
+                             by replaying the reduction trace backwards
+                             (scan_reduction does all but the reduction,
+                             for callers that have one already);
   enumerate_colorings_oracle depth-first fill-and-propagate directly on the
                              unreduced presentation, on the constraint
                              engine of the search module, which the table
@@ -21,16 +23,13 @@ of semi-arc k), sorted lexicographically.
 
 from __future__ import annotations
 
-import multiprocessing
-
 from .core import Biquandle, compile_sides
 from .gauss import GaussCode
 from .presentation import (Gen, Presentation, eval_word, knot_presentation,
-                           reduce_with_trace)
+                           reduce_with_trace, word_generators)
 from .search import Engine
 
 CANDIDATE_LIMIT = 10 ** 8
-_PARALLEL_THRESHOLD = 2048
 
 
 class SearchLimitError(RuntimeError):
@@ -40,27 +39,34 @@ class SearchLimitError(RuntimeError):
 Coloring = tuple  # color of semi-arc k at index k-1
 
 
-def _decode(index: int, n: int, k: int) -> tuple[int, ...]:
-    # odometer order: last generator varies fastest
-    digits = []
-    for _ in range(k):
-        digits.append(index % n + 1)
-        index //= n
-    return tuple(reversed(digits))
-
-def _scan_chunk(T: Biquandle, reduced: Presentation, trace, n_semi_arcs: int,
-                start: int, stop: int) -> list[tuple[int, ...]]:
-    n = T.n
+def _scan(T: Biquandle, reduced: Presentation, trace,
+          n_semi_arcs: int) -> list[tuple[int, ...]]:
+    # Backtrack over the survivors in order, checking each relation once
+    # the last of its generators (the isolated one included) is assigned.
     survivors = reduced.generators
     k = len(survivors)
+    position = {g: i for i, g in enumerate(survivors)}
+    checks: list[list] = [[] for _ in range(k)]
+    for r in reduced.relations:
+        checks[max(position[g] for g in word_generators(r.lhs) | {r.rhs})].append(r)
+    values = range(1, T.n + 1)
+    asg: dict[int, int] = {}
     found = []
-    for index in range(start, stop):
-        values = _decode(index, n, k)
-        asg = dict(zip(survivors, values))
-        if all(eval_word(r.lhs, T, asg) == asg[r.rhs] for r in reduced.relations):
+
+    def extend(i: int) -> None:
+        if i == k:
+            # each eliminated word reads only generators replayed before it
             for g, w in reversed(trace):
                 asg[g] = eval_word(w, T, asg)
             found.append(tuple(asg[a] for a in range(1, n_semi_arcs + 1)))
+            return
+        g = survivors[i]
+        for v in values:
+            asg[g] = v
+            if all(eval_word(r.lhs, T, asg) == asg[r.rhs] for r in checks[i]):
+                extend(i + 1)
+
+    extend(0)
     return found
 
 
@@ -72,29 +78,19 @@ def check_search_size(n: int, survivors: int) -> None:
             f"search too large: {n}^{survivors} = {total} candidate assignments")
 
 
-def enumerate_colorings(code: GaussCode, T: Biquandle, jobs: int = 1) -> list[tuple[int, ...]]:
-    """All colorings, via reduction plus brute force over the survivors."""
+def enumerate_colorings(code: GaussCode, T: Biquandle) -> list[tuple[int, ...]]:
+    """All colorings, via reduction plus a backtracking scan of the survivors."""
     reduced, trace = reduce_with_trace(knot_presentation(code))
-    return scan_reduction(T, reduced, trace, code.n_semi_arcs, jobs)
+    return scan_reduction(T, reduced, trace, code.n_semi_arcs)
 
 
-def scan_reduction(T: Biquandle, reduced: Presentation, trace, n_semi_arcs: int,
-                   jobs: int = 1) -> list[tuple[int, ...]]:
-    """All colorings, by brute force over the survivors of a reduction
-    (as reduce_with_trace returns it) of a code's knot presentation."""
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    n, k = T.n, len(reduced.generators)
-    check_search_size(n, k)
-    total = n ** k
-    if jobs == 1 or total < _PARALLEL_THRESHOLD:
-        found = _scan_chunk(T, reduced, trace, n_semi_arcs, 0, total)
-    else:
-        step = -(-total // jobs)
-        tasks = [(T, reduced, trace, n_semi_arcs, lo, min(lo + step, total))
-                 for lo in range(0, total, step)]
-        with multiprocessing.Pool(jobs) as pool:
-            found = [c for chunk in pool.starmap(_scan_chunk, tasks) for c in chunk]
+def scan_reduction(T: Biquandle, reduced: Presentation, trace,
+                   n_semi_arcs: int) -> list[tuple[int, ...]]:
+    """All colorings, by a backtracking scan of the survivors of a
+    reduction (as reduce_with_trace returns it) of a code's knot
+    presentation."""
+    check_search_size(T.n, len(reduced.generators))
+    found = _scan(T, reduced, trace, n_semi_arcs)
     found.sort()
     return found
 
@@ -144,6 +140,6 @@ def enumerate_colorings_oracle(code: GaussCode, T: Biquandle) -> list[tuple[int,
     return found
 
 
-def counting_invariant(code: GaussCode, T: Biquandle, jobs: int = 1) -> int:
+def counting_invariant(code: GaussCode, T: Biquandle) -> int:
     """Number of colorings of the code by T."""
-    return len(enumerate_colorings(code, T, jobs=jobs))
+    return len(enumerate_colorings(code, T))

@@ -78,8 +78,7 @@ def boltzmann_sum(code: GaussCode, T: Biquandle, phi: Cochain2, coloring) -> obj
     return _state_sum(crossings_of(code), phi, coloring)
 
 
-def yb_invariant(code: GaussCode, T: Biquandle, phi: Cochain2,
-                 jobs: int = 1) -> LaurentMultiset:
+def yb_invariant(code: GaussCode, T: Biquandle, phi: Cochain2) -> LaurentMultiset:
     """State-sum invariant for one cocycle.
 
     Errors if T is invalid or phi fails the cocycle condition; warns if phi
@@ -95,14 +94,14 @@ def yb_invariant(code: GaussCode, T: Biquandle, phi: Cochain2,
     if not is_ri_reduced(T, phi):
         warnings.warn("cocycle is not RI-reduced; the state sum may change "
                       "under first Reidemeister moves")
-    colorings = enumerate_colorings(code, T, jobs=jobs)
+    colorings = enumerate_colorings(code, T)
     crossings = crossings_of(code)
     return LaurentMultiset.from_exponents(
         _state_sum(crossings, phi, c) for c in colorings)
 
 
-def yb_invariant_suite(code: GaussCode, T: Biquandle, field: FieldSpec,
-                       jobs: int = 1) -> list[tuple[Cochain2, LaurentMultiset]]:
+def yb_invariant_suite(code: GaussCode, T: Biquandle,
+                       field: FieldSpec) -> list[tuple[Cochain2, LaurentMultiset]]:
     """The invariant for every reduced-cohomology basis cocycle.
 
     Basis cocycles are cocycles and RI-reduced by construction, so they
@@ -114,7 +113,7 @@ def yb_invariant_suite(code: GaussCode, T: Biquandle, field: FieldSpec,
     basis = reduced_cohomology_basis(T, field)
     if not basis:
         return []
-    colorings = enumerate_colorings(code, T, jobs=jobs)
+    colorings = enumerate_colorings(code, T)
     crossings = crossings_of(code)
     return [(phi, LaurentMultiset.from_exponents(
                 _state_sum(crossings, phi, c) for c in colorings))

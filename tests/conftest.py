@@ -1,3 +1,4 @@
+import functools
 import pathlib
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 from biquandles.core import Biquandle, BlockConvention, read_biquandle
 from biquandles.gauss import parse_gauss_code
+from biquandles.search import PartialBiquandle, TableSearch
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -74,6 +76,33 @@ def make_random_code(rng: random.Random, crossings: int, components: int = 1):
 @pytest.fixture(scope="session")
 def random_code():
     return make_random_code
+
+
+class LeafSearch(TableSearch):
+    """A table search that keeps every complete table it reaches."""
+
+    def __init__(self, P):
+        super().__init__(P)
+        self.leaves = []
+
+    def _descend(self, mark):
+        if 0 not in self.val[:self.cells]:
+            self.leaves.append(self.to_biquandle())
+        super()._descend(mark)
+
+
+def _finished_blank_search(n: int) -> LeafSearch:
+    search = LeafSearch(PartialBiquandle.blank(n))
+    search.run()
+    return search
+
+
+@pytest.fixture(scope="session")
+def blank_search():
+    """blank_search(n): a finished LeafSearch of the blank order-n table,
+    run once per order for the whole session (order 3 takes about a
+    second).  Its found, leaves and nodes are shared, so read only."""
+    return functools.cache(_finished_blank_search)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

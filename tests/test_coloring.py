@@ -4,12 +4,57 @@ import random
 
 import pytest
 
+from biquandles import coloring
 from biquandles.coloring import (SearchLimitError, counting_invariant,
                                  enumerate_colorings, enumerate_colorings_oracle,
                                  scan_reduction)
 from biquandles.core import alexander_biquandle
 from biquandles.gauss import crossings_of, insert_r_move, parse_gauss_code
-from biquandles.presentation import knot_presentation, reduce_with_trace
+from biquandles.presentation import eval_word, knot_presentation, reduce_with_trace
+
+SHIPPED_CODES = ["unknot", "trefoil", "kishino", "link-two-component", "conway"]
+
+
+# --- the odometer reference --------------------------------------------------
+#
+# The reduced scan as it was before backtracking: every one of the n^k
+# assignments of the k survivors, in odometer order, checked against every
+# reduced relation.  The backtracking scan must find exactly its colorings.
+
+
+def _decode(index: int, n: int, k: int) -> tuple[int, ...]:
+    # odometer order: last generator varies fastest
+    digits = []
+    for _ in range(k):
+        digits.append(index % n + 1)
+        index //= n
+    return tuple(reversed(digits))
+
+
+def _scan_chunk(T, reduced, trace, n_semi_arcs: int,
+                start: int, stop: int) -> list[tuple[int, ...]]:
+    n = T.n
+    survivors = reduced.generators
+    k = len(survivors)
+    found = []
+    for index in range(start, stop):
+        values = _decode(index, n, k)
+        asg = dict(zip(survivors, values))
+        if all(eval_word(r.lhs, T, asg) == asg[r.rhs] for r in reduced.relations):
+            for g, w in reversed(trace):
+                asg[g] = eval_word(w, T, asg)
+            found.append(tuple(asg[a] for a in range(1, n_semi_arcs + 1)))
+    return found
+
+
+def odometer_scan(T, reduced, trace, n_semi_arcs: int) -> list[tuple[int, ...]]:
+    total = T.n ** len(reduced.generators)
+    return sorted(_scan_chunk(T, reduced, trace, n_semi_arcs, 0, total))
+
+
+def odometer_colorings(code, T) -> list[tuple[int, ...]]:
+    reduced, trace = reduce_with_trace(knot_presentation(code))
+    return odometer_scan(T, reduced, trace, code.n_semi_arcs)
 
 
 def test_unknot_colorings(unknot_code, kishino_T):
@@ -31,6 +76,7 @@ def test_counting_values(trefoil_code, kishino_code, link_code, conway_code, kis
     assert counting_invariant(kishino_code, kishino_T) == 16
     assert counting_invariant(link_code, kishino_T) == 16
     assert counting_invariant(conway_code, kishino_T) == 4
+    assert counting_invariant(conway_code, alexander_biquandle(5, 2, 3)) == 5
 
 
 @pytest.mark.parametrize("name", ["trefoil", "kishino", "link-two-component", "conway"])
@@ -66,31 +112,6 @@ def test_coloring_shape(link_code, kishino_T):
     assert cols == sorted(set(cols))
 
 
-def test_parallel_matches_serial(conway_code):
-    # 5 survivors over a 5-element biquandle: 3125 candidates, enough to
-    # split across workers.
-    A = alexander_biquandle(5, 2, 3)
-    serial = enumerate_colorings(conway_code, A, jobs=1)
-    assert enumerate_colorings(conway_code, A, jobs=2) == serial
-    assert enumerate_colorings(conway_code, A, jobs=3) == serial
-    assert len(serial) == 5
-
-
-def test_jobs_validation(unknot_code, kishino_T):
-    with pytest.raises(ValueError, match="jobs must be >= 1"):
-        enumerate_colorings(unknot_code, kishino_T, jobs=0)
-
-
-@pytest.mark.parametrize("jobs", [0, -3])
-def test_scan_reduction_checks_jobs(unknot_code, conway_code, kishino_T, jobs):
-    # Checked before any work, on a one-candidate search as on one large
-    # enough to split across workers (7^5 candidates).
-    for code, T in ((unknot_code, kishino_T), (conway_code, alexander_biquandle(7, 2, 3))):
-        reduced, trace = reduce_with_trace(knot_presentation(code))
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
-            scan_reduction(T, reduced, trace, code.n_semi_arcs, jobs=jobs)
-
-
 def test_search_limit(conway_code):
     # 100^5 candidate assignments is over the 10^8 cap.
     big = alexander_biquandle(100, 1, 3)
@@ -108,3 +129,61 @@ def test_strategies_agree_on_random_codes(kishino_T, random_code):
         for T in tables:
             assert enumerate_colorings_oracle(code, T) == enumerate_colorings(code, T), \
                 f"code {i} by order {T.n}"
+
+
+# kishinoT and Alexander tables of orders 3 to 7
+def reference_tables(kishino_T):
+    return [kishino_T] + [alexander_biquandle(n, s, t) for n, s, t in
+                          [(3, 1, 2), (4, 1, 3), (5, 2, 3), (6, 1, 5), (7, 2, 3)]]
+
+
+@pytest.mark.parametrize("name", SHIPPED_CODES)
+def test_scan_matches_odometer_on_shipped_codes(data_dir, kishino_T, name):
+    code = parse_gauss_code((data_dir / f"{name}.gauss").read_text())
+    for T in reference_tables(kishino_T):
+        assert enumerate_colorings(code, T) == odometer_colorings(code, T), f"order {T.n}"
+
+
+def test_scan_matches_odometer_on_random_codes(kishino_T, random_code):
+    # Knots and two-component links of 1 to 7 crossings; each code meets
+    # two of the tables, so every table sees every size.
+    rng = random.Random(20261019)
+    tables = reference_tables(kishino_T)
+    i = 0
+    for crossings in range(1, 8):
+        for components in (1, 2):
+            for _ in range(3):
+                code = random_code(rng, crossings, components)
+                for T in (tables[i % len(tables)], tables[(i + 3) % len(tables)]):
+                    assert enumerate_colorings(code, T) == odometer_colorings(code, T), \
+                        f"code {i} by order {T.n}"
+                i += 1
+
+
+def test_scan_matches_odometer_on_partial_reductions(trefoil_code, kishino_code, kishino_T):
+    # A reduction cut short by its word budget leaves relations whose
+    # isolated generator is not in their word, so the scan must wait for
+    # that generator too before checking them.
+    for code in (trefoil_code, kishino_code):
+        for budget in (0, 24):
+            with pytest.warns(UserWarning, match="reduction stopped early"):
+                reduced, trace = reduce_with_trace(knot_presentation(code), budget)
+            for T in (alexander_biquandle(3, 1, 2), kishino_T):
+                assert scan_reduction(T, reduced, trace, code.n_semi_arcs) == \
+                    odometer_scan(T, reduced, trace, code.n_semi_arcs), \
+                    f"budget {budget} by order {T.n}"
+
+
+def test_scan_prunes_partial_assignments(conway_code, monkeypatch):
+    # Conway keeps 5 survivors, so an odometer evaluates a relation on each
+    # of the 7^5 = 16,807 candidates; pruning must evaluate fewer words.
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return eval_word(*args)
+
+    monkeypatch.setattr(coloring, "eval_word", counted)
+    assert len(enumerate_colorings(conway_code, alexander_biquandle(7, 2, 3))) == 7
+    assert 0 < calls < 7 ** 5

@@ -9,7 +9,6 @@ from biquandles.core import (AXIOM_PAIR_EQS, AXIOM_TRIPLE_EQS, Biquandle,
                              ValidationReport, alexander_biquandle, apply_op,
                              kink_witnesses, read_biquandle, switch,
                              switch_inv, validate_biquandle, write_biquandle)
-from biquandles.search import PartialBiquandle, TableSearch
 
 ONE = Biquandle((((1,),), ((1,),), ((1,),), ((1,),)))
 
@@ -169,25 +168,12 @@ def test_validate_matches_reference_on_perturbed_tables(kishino_T):
                                                       "yang-baxter"}
 
 
-class LeafSearch(TableSearch):
-    """A table search that keeps every complete table it reaches."""
-
-    def __init__(self, P):
-        super().__init__(P)
-        self.leaves = []
-
-    def _descend(self, mark):
-        if 0 not in self.val[:self.cells]:
-            self.leaves.append(self.to_biquandle())
-        super()._descend(mark)
-
-
 @pytest.mark.parametrize("n,leaves,found", [(2, 5, 2), (3, 73, 36)])
-def test_search_leaves_satisfy_the_equational_axioms(n, leaves, found):
+def test_search_leaves_satisfy_the_equational_axioms(blank_search, n, leaves, found):
     # Propagation alone guarantees axioms 1 and 3 (and so the switch
     # checks) on a complete table: the search checks only axioms 2 and 4.
-    search = LeafSearch(PartialBiquandle.blank(n))
-    assert len(search.run()) == found
+    search = blank_search(n)
+    assert len(search.found) == found
     assert len(search.leaves) == leaves
     for T in search.leaves:
         failed = {axiom for axiom, _ in reference_failures(T)}

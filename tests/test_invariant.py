@@ -164,13 +164,6 @@ def test_boltzmann_sum_of_constant_coloring(kishino_code, kishino_T, phi1, phi2)
     assert boltzmann_sum(kishino_code, kishino_T, phi2, ones) == 0
 
 
-def test_parallel_invariant(conway_code):
-    A = alexander_biquandle(5, 2, 3)
-    z = zero_cochain(5, Q)
-    assert yb_invariant(conway_code, A, z, jobs=2) == \
-        yb_invariant(conway_code, A, z, jobs=1)
-
-
 # --- input checking ---------------------------------------------------------
 
 

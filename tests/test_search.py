@@ -197,13 +197,13 @@ def test_incremental_ratings_match_full_sweep(kishino_T, blank_tables):
     assert search.nodes > 10
 
 
-def test_search_tree_size_is_pinned():
+def test_search_tree_size_is_pinned(blank_search):
     # Nodes are propagations: the root and one per branch value tried.
     # These are the full-sweep search's counts; the same cell is chosen
     # at every node, so the tree cannot grow.
     for n, count, nodes in [(1, 1, 3), (2, 2, 131), (3, 36, 15082)]:
-        search = TableSearch(PartialBiquandle.blank(n))
-        assert len(search.run()) == count
+        search = blank_search(n)
+        assert len(search.found) == count
         assert search.nodes == nodes
 
 
@@ -356,8 +356,9 @@ def test_enumerate_two_elements():
     assert orbit_census([keep, flip]) == (2, 2)
 
 
-def test_enumerate_three_elements():
-    found = enumerate_biquandles(3)
+def test_enumerate_three_elements(blank_search):
+    # the full table search that enumerate_biquandles(3) runs, shared
+    found = blank_search(3).found
     assert len(found) == 36
     assert all(validate_biquandle(T).ok for T in found)
     keys = [write_biquandle(T) for T in found]
