@@ -10,6 +10,8 @@ Subcommands:
     suite       invariant values for a whole reduced basis
 
 Exit codes: 0 success, 1 domain error (invalid input data), 2 usage error.
+A domain error prints one "error:" line to stderr; with --porcelain it also
+prints {"error": "<message>"} as one JSON line to stdout.
 All output is deterministic.  --jobs is accepted for compatibility and
 changes nothing: colorings run in one process.
 """
@@ -36,13 +38,6 @@ from .search import ENUMERATION_LIMIT, enumerate_biquandles
 
 class DomainError(Exception):
     """Input parsed but failed a mathematical requirement."""
-
-
-def _field(text: str) -> FieldSpec:
-    try:
-        return FieldSpec.from_name(text)
-    except ValueError as e:
-        raise DomainError(str(e))
 
 
 def _positive_int(text: str) -> int:
@@ -132,18 +127,19 @@ def _cmd_enumerate(args, out):
 
 
 def _cmd_cohomology(args, out):
+    field = FieldSpec.from_name(args.field)
     T = _load_biquandle(args.biquandle, args.block_convention)
     if not T.is_valid:
         raise DomainError("biquandle fails validation")
-    basis = reduced_cohomology_basis(T, args.field)
+    basis = reduced_cohomology_basis(T, field)
     if args.porcelain:
-        payload = {"field": args.field.name(), "dimension": len(basis),
+        payload = {"field": field.name(), "dimension": len(basis),
                    "basis": [{f"{x} {y}": str(phi.value(x, y))
                               for x in range(1, phi.n + 1) for y in range(1, phi.n + 1)
                               if phi.value(x, y) != 0} for phi in basis]}
         out.write(json.dumps(payload) + "\n")
     else:
-        out.write(f"reduced H^2 dimension {len(basis)} over {args.field.name()}\n")
+        out.write(f"reduced H^2 dimension {len(basis)} over {field.name()}\n")
         for k, phi in enumerate(basis, start=1):
             out.write(f"phi[{k}] = {format_cochain(phi)}\n")
     if args.classify:
@@ -204,13 +200,14 @@ def _cmd_invariant(args, out):
 
 
 def _cmd_suite(args, out):
+    field = FieldSpec.from_name(args.field)
     T = _load_biquandle(args.biquandle, args.block_convention)
     if not T.is_valid:
         raise DomainError("biquandle fails validation")
     code = _load_code(args.code)
     if args.show_presentation:
         _print_presentation(code, out)
-    results = yb_invariant_suite(code, T, args.field)
+    results = yb_invariant_suite(code, T, field)
     if args.porcelain:
         payload = [{"cocycle": format_cochain(phi),
                     "terms": [[str(e_), m] for e_, m in sorted(ms.as_dict().items())]}
@@ -243,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         if biquandle:
             p.add_argument("--biquandle", required=True, help="biquandle table file")
         if field:
-            p.add_argument("--field", type=_field, default=FieldSpec.from_name("Q"),
+            p.add_argument("--field", default="Q",
                            metavar="{Q|Zp:<prime>}", help="coefficient field")
         if jobs:
             p.add_argument("--jobs", type=_positive_int, default=1,
@@ -300,15 +297,13 @@ def main(argv=None) -> int:
     except SystemExit as e:
         # argparse exits 2 on usage errors already; normalize others
         return int(e.code) if e.code else 0
-    except DomainError as e:
-        # a flag value that parsed but failed a mathematical requirement
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     try:
         return args.func(args, sys.stdout)
     except (DomainError, SearchLimitError, OSError, ValueError) as e:
         # OSError: a missing file, a directory, an -o path under a file
         print(f"error: {e}", file=sys.stderr)
+        if args.porcelain:
+            print(json.dumps({"error": str(e)}))
         return 1
 
 

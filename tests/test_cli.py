@@ -147,6 +147,13 @@ def test_cohomology_rejects_composite_modulus(run, data_dir):
     assert "not prime" in err
 
 
+def test_cohomology_porcelain_error(run, data_dir):
+    rc, out, err = run("cohomology", "--porcelain", "--field", "Zp:4",
+                       "--biquandle", str(data_dir / "kishinoT.bq"))
+    assert (rc, err) == (1, "error: 4 is not prime\n")
+    assert out == '{"error": "4 is not prime"}\n'
+
+
 # --- colorings ---------------------------------------------------------------
 
 
@@ -199,6 +206,16 @@ def test_colorings_search_too_large(run, data_dir, tmp_path):
     assert (rc, out) == (1, "")
     assert err.startswith("error: search too large: 50^5")
     assert err.count("\n") == 1
+
+
+def test_colorings_porcelain_error(run, data_dir, tmp_path):
+    big = tmp_path / "a50.bq"
+    big.write_text(write_biquandle(alexander_biquandle(50, 3, 7)))
+    rc, out, err = run("colorings", "--porcelain",
+                       "--code", str(data_dir / "conway.gauss"), "--biquandle", str(big))
+    message = "search too large: 50^5 = 312500000 candidate assignments"
+    assert (rc, err) == (1, f"error: {message}\n")
+    assert json.loads(out) == {"error": message} and out.count("\n") == 1
 
 
 def test_colorings_checks_search_size_before_validating(run, data_dir, tmp_path):

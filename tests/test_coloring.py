@@ -10,7 +10,8 @@ from biquandles.coloring import (SearchLimitError, counting_invariant,
                                  scan_reduction)
 from biquandles.core import alexander_biquandle
 from biquandles.gauss import crossings_of, insert_r_move, parse_gauss_code
-from biquandles.presentation import eval_word, knot_presentation, reduce_with_trace
+from biquandles.presentation import (Presentation, eval_word, knot_presentation,
+                                     reduce_with_trace, word_nodes)
 
 SHIPPED_CODES = ["unknot", "trefoil", "kishino", "link-two-component", "conway"]
 
@@ -174,16 +175,57 @@ def test_scan_matches_odometer_on_partial_reductions(trefoil_code, kishino_code,
                     f"budget {budget} by order {T.n}"
 
 
-def test_scan_prunes_partial_assignments(conway_code, monkeypatch):
-    # Conway keeps 5 survivors, so an odometer evaluates a relation on each
-    # of the 7^5 = 16,807 candidates; pruning must evaluate fewer words.
-    calls = 0
+def test_scan_matches_odometer_on_larger_random_codes(kishino_T, random_code):
+    # Knots and two-component links of 8 to 10 crossings: their reduced
+    # words share many subwords, so the staged DAG merges the most here.
+    rng = random.Random(20261020)
+    tables = (kishino_T, alexander_biquandle(3, 1, 2))
+    for crossings in range(8, 11):
+        for components in (1, 2):
+            for i in range(3):
+                code = random_code(rng, crossings, components)
+                for T in tables:
+                    assert enumerate_colorings(code, T) == odometer_colorings(code, T), \
+                        f"{crossings} crossings, {components} components, code {i}, order {T.n}"
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return eval_word(*args)
 
-    monkeypatch.setattr(coloring, "eval_word", counted)
+def test_scan_ignores_relation_order(conway_code, kishino_T, random_code):
+    rng = random.Random(20261021)
+    codes = [conway_code] + [random_code(rng, rng.randint(5, 9), 1 + i % 2) for i in range(6)]
+    for i, code in enumerate(codes):
+        reduced, trace = reduce_with_trace(knot_presentation(code))
+        relations = list(reduced.relations)
+        rng.shuffle(relations)
+        permuted = Presentation(reduced.generators, tuple(relations))
+        for T in (kishino_T, alexander_biquandle(5, 2, 3)):
+            assert scan_reduction(T, permuted, trace, code.n_semi_arcs) == \
+                scan_reduction(T, reduced, trace, code.n_semi_arcs), f"code {i} by order {T.n}"
+
+
+class CountingTable(list):
+    """A padded operation table that counts its row lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, i):
+        CountingTable.lookups += 1
+        return super().__getitem__(i)
+
+
+def test_scan_evaluates_each_subword_once(conway_code, monkeypatch):
+    # Tietze substitution pastes whole words in for generators, so
+    # Conway's 5 reduced relations are trees of 811 nodes; they hold 22
+    # distinct subwords, each looked up once per assignment of the
+    # survivors it reads.  Checking each relation with the recursive
+    # eval_word instead would make 201,880 calls here.
+    reduced = reduce_with_trace(knot_presentation(conway_code))[0]
+    assert sum(word_nodes(r.lhs) for r in reduced.relations) == 811
+    order, _slots, steps, checks, n_slots = coloring._stage(reduced)
+    assert n_slots - len(order) == sum(map(len, steps)) == 22
+    assert sum(map(len, checks)) == len(reduced.relations)
+
+    padded = coloring._padded
+    monkeypatch.setattr(coloring, "_padded", lambda t: CountingTable(padded(t)))
+    monkeypatch.setattr(CountingTable, "lookups", 0)
     assert len(enumerate_colorings(conway_code, alexander_biquandle(7, 2, 3))) == 7
-    assert 0 < calls < 7 ** 5
+    assert CountingTable.lookups == 52_822
