@@ -98,10 +98,7 @@ def _cmd_validate(args, out):
 
 
 def _cmd_alexander(args, out):
-    try:
-        T = alexander_biquandle(args.n, args.s, args.t)
-    except ValueError as e:
-        raise DomainError(str(e))
+    T = alexander_biquandle(args.n, args.s, args.t)
     text = write_biquandle(T, args.block_convention)
     if args.output:
         with open(args.output, "w") as fh:
@@ -112,10 +109,7 @@ def _cmd_alexander(args, out):
 
 
 def _cmd_enumerate(args, out):
-    try:
-        structures = enumerate_biquandles(args.n, limit=args.limit)
-    except ValueError as e:
-        raise DomainError(str(e))
+    structures = enumerate_biquandles(args.n, limit=args.limit)
     os.makedirs(args.output_dir, exist_ok=True)
     width = max(4, len(str(len(structures))))
     for i, T in enumerate(structures, start=1):
@@ -187,13 +181,9 @@ def _cmd_invariant(args, out):
         phi = read_cochain(fh.read(), T.n)
     if args.show_presentation:
         _print_presentation(code, out)
-    try:
-        value = yb_invariant(code, T, phi)
-    except ValueError as e:
-        raise DomainError(str(e))
+    value = yb_invariant(code, T, phi)
     if args.porcelain:
-        out.write(json.dumps({"terms": [[str(e_), m] for e_, m in
-                                        sorted(value.as_dict().items())]}) + "\n")
+        out.write(json.dumps({"terms": [[str(e), m] for e, m in value.terms]}) + "\n")
     else:
         out.write(str(value) + "\n")
     return 0
@@ -210,7 +200,7 @@ def _cmd_suite(args, out):
     results = yb_invariant_suite(code, T, field)
     if args.porcelain:
         payload = [{"cocycle": format_cochain(phi),
-                    "terms": [[str(e_), m] for e_, m in sorted(ms.as_dict().items())]}
+                    "terms": [[str(e), m] for e, m in ms.terms]}
                    for phi, ms in results]
         out.write(json.dumps(payload) + "\n")
     else:

@@ -65,16 +65,6 @@ class GaussCode:
     def n_semi_arcs(self) -> int:
         return sum(max(len(c), 1) for c in self.components)
 
-    def component_spans(self) -> list[tuple[int, int]]:
-        """(first semi-arc, count) per component; empty components count 1."""
-        spans = []
-        start = 1
-        for comp in self.components:
-            size = max(len(comp), 1)
-            spans.append((start, size))
-            start += size
-        return spans
-
 
 _TOKEN_RE = re.compile(r"^([+-]?\d+)(?:([+-])[iI])?$")
 

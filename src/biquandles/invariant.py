@@ -78,6 +78,16 @@ def boltzmann_sum(code: GaussCode, T: Biquandle, phi: Cochain2, coloring) -> obj
     return _state_sum(crossings_of(code), phi, coloring)
 
 
+def _invariants(code: GaussCode, T: Biquandle, cocycles) -> list[LaurentMultiset]:
+    """The state-sum invariant of each cocycle, from one enumeration of the
+    colorings; no checks."""
+    colorings = enumerate_colorings(code, T)
+    crossings = crossings_of(code)
+    return [LaurentMultiset.from_exponents(
+                _state_sum(crossings, phi, c) for c in colorings)
+            for phi in cocycles]
+
+
 def yb_invariant(code: GaussCode, T: Biquandle, phi: Cochain2) -> LaurentMultiset:
     """State-sum invariant for one cocycle.
 
@@ -94,10 +104,7 @@ def yb_invariant(code: GaussCode, T: Biquandle, phi: Cochain2) -> LaurentMultise
     if not is_ri_reduced(T, phi):
         warnings.warn("cocycle is not RI-reduced; the state sum may change "
                       "under first Reidemeister moves")
-    colorings = enumerate_colorings(code, T)
-    crossings = crossings_of(code)
-    return LaurentMultiset.from_exponents(
-        _state_sum(crossings, phi, c) for c in colorings)
+    return _invariants(code, T, [phi])[0]
 
 
 def yb_invariant_suite(code: GaussCode, T: Biquandle,
@@ -113,8 +120,4 @@ def yb_invariant_suite(code: GaussCode, T: Biquandle,
     basis = reduced_cohomology_basis(T, field)
     if not basis:
         return []
-    colorings = enumerate_colorings(code, T)
-    crossings = crossings_of(code)
-    return [(phi, LaurentMultiset.from_exponents(
-                _state_sum(crossings, phi, c) for c in colorings))
-            for phi in basis]
+    return list(zip(basis, _invariants(code, T, basis)))

@@ -127,9 +127,6 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a) if self.p is None else pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
 
 QQ = FieldSpec()
 

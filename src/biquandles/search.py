@@ -27,7 +27,9 @@ The table search branches on the blank cell with the highest rating, ties
 to the lowest (table, row, column).  A cell's rating is the number of axiom
 instances that could read it under some completion; each instance's set of
 possible reads is kept between nodes and recomputed only when a cell in it
-is filled, since filling other cells cannot change it.
+is filled, since filling other cells cannot change it.  A node copies the
+reads and ratings before branching and restores them from that copy after
+each child, so backtracking needs no second trail.
 """
 
 from __future__ import annotations
@@ -280,7 +282,6 @@ class TableSearch(Engine):
         self.reads: list[int] = []
         self.readers: list[list[int]] = []
         self.rating: list[int] = []
-        self.rtrail: list[tuple[int, int]] = []  # (instance, its old reads)
 
     def _reads(self, e: int) -> int:
         """Mask of the blank cells that instance e might read under some
@@ -327,9 +328,6 @@ class TableSearch(Engine):
                     val[t] = found.bit_length() - 1
         return reads
 
-    def all_reads(self) -> list[int]:
-        return [self._reads(e) for e in range(len(self.sides) // 2)]
-
     def run(self) -> list[Biquandle]:
         """All valid completions, sorted by serialized matrix."""
         self.nodes = 1
@@ -340,7 +338,7 @@ class TableSearch(Engine):
         return self.found
 
     def _rate_root(self) -> None:
-        self.reads = self.all_reads()
+        self.reads = [self._reads(e) for e in range(len(self.sides) // 2)]
         self.readers = [[] for _ in range(self.cells)]
         self.rating = [0] * self.cells
         for e, mask in enumerate(self.reads):
@@ -360,29 +358,14 @@ class TableSearch(Engine):
                     if reads[e] & b:
                         dirty.add(e)
         rating = self.rating
-        rtrail = self.rtrail
         for e in dirty:
             old = reads[e]
             reads[e] = new = self._reads(e)
-            rtrail.append((e, old))
             gone = old ^ new
             while gone:  # _bits(gone), inlined
                 low = gone & -gone
                 rating[low.bit_length() - 1] -= 1
                 gone ^= low
-
-    def _unrate(self, mark: int) -> None:
-        reads = self.reads
-        rating = self.rating
-        rtrail = self.rtrail
-        while len(rtrail) > mark:
-            e, old = rtrail.pop()
-            gone = old ^ reads[e]
-            while gone:
-                low = gone & -gone
-                rating[low.bit_length() - 1] += 1
-                gone ^= low
-            reads[e] = old
 
     def _descend(self, mark: int) -> None:
         """Search below a propagated node whose ratings are current up to
@@ -395,15 +378,17 @@ class TableSearch(Engine):
             return
         self._rerate(mark)
         cell = self._branch_cell()
+        reads = self.reads[:]
+        rating = self.rating[:]
         for v in range(1, self.n + 1):
             mark = len(self.trail)
-            rmark = len(self.rtrail)
             self.nodes += 1
             self.assign(cell, v)
             if self.propagate():
                 self._descend(mark)
+                self.reads[:] = reads
+                self.rating[:] = rating
             self.undo(mark)
-            self._unrate(rmark)
 
     def _branch_cell(self) -> int:
         """The blank cell with the highest rating, ties to the lowest."""
@@ -443,29 +428,25 @@ def propagate(P: PartialBiquandle):
     return search.to_partial()
 
 
-def _cell_slot(n: int, cell: Cell) -> int:
-    k, a, b = cell
-    return k * n * n + (a - 1) * n + (b - 1)
-
-
-def rate_zero(P: PartialBiquandle, cell: Cell) -> int:
-    """Number of incomplete axiom instances that might read this blank cell.
+def ratings(P: PartialBiquandle) -> dict[Cell, int]:
+    """Each blank cell's rating: the number of axiom instances that might
+    read it under some completion.
 
     Monotone non-increasing as other cells get filled: completions only
     shrink each instance's set of possibly-read blanks.
     """
+    search = TableSearch(P)
+    search._rate_root()
+    n = P.n
+    cells = itertools.product(OpKind, range(1, n + 1), range(1, n + 1))
+    return {c: r for c, v, r in zip(cells, search.val, search.rating) if not v}
+
+
+def rate_zero(P: PartialBiquandle, cell: Cell) -> int:
+    """The rating of one blank cell; see ratings."""
     if P.get(cell) != 0:
         raise ValueError(f"cell {cell} is not blank")
-    bit = 1 << _cell_slot(P.n, cell)
-    return sum(1 for reads in TableSearch(P).all_reads() if reads & bit)
-
-
-def _ratings(P: PartialBiquandle) -> dict[Cell, int]:
-    counts = [0] * (4 * P.n * P.n)
-    for reads in TableSearch(P).all_reads():
-        for c in _bits(reads):
-            counts[c] += 1
-    return {c: counts[_cell_slot(P.n, c)] for c in P.blanks()}
+    return ratings(P)[cell]
 
 
 def complete_partial(P: PartialBiquandle) -> list[Biquandle]:

@@ -9,8 +9,8 @@ import pytest
 from biquandles.core import (Biquandle, OpKind, alexander_biquandle,
                              validate_biquandle, write_biquandle)
 from biquandles.search import (CONTRADICTION, PartialBiquandle, TableSearch,
-                               _ratings, axiom_instances, complete_partial,
-                               enumerate_biquandles, propagate, rate_zero)
+                               axiom_instances, complete_partial,
+                               enumerate_biquandles, propagate, rate_zero, ratings)
 
 
 def all_cells(n):
@@ -133,8 +133,8 @@ def test_engine_matches_full_sweep(kishino_T, name, params, count):
             assert got is CONTRADICTION
         else:
             assert got is not CONTRADICTION and got.tables == expected.tables
-        assert _ratings(P) == reference_ratings(P)
-        assert P == before, "propagate and _ratings must not touch their input"
+        assert ratings(P) == reference_ratings(P)
+        assert P == before, "propagate and ratings must not touch their input"
     if T.n > 2:
         assert contradictions, "the sample should reach a contradiction"
 
@@ -175,7 +175,11 @@ def test_branch_cell_matches_full_sweep(kishino_T):
 
 class CheckedSearch(TableSearch):
     """A search that checks its incrementally kept ratings against the
-    full sweep at every branch."""
+    full sweep at every branch, and keeps a copy of its root ratings."""
+
+    def _rate_root(self):
+        super()._rate_root()
+        self.root = (self.reads[:], self.rating[:])
 
     def _branch_cell(self):
         expected = reference_ratings(self.to_partial())
@@ -183,18 +187,26 @@ class CheckedSearch(TableSearch):
         return super()._branch_cell()
 
 
-@pytest.mark.parametrize("blank_tables", [None, (0, 2), (1, 3)])
+@pytest.mark.parametrize("blank_tables", [None, (0, 2), (1, 3),
+                                          pytest.param("A(3,1,2)", id="A(3,1,2)")])
 def test_incremental_ratings_match_full_sweep(kishino_T, blank_tables):
+    # None: the blank order-2 table; a pair: kishinoT with those two tables
+    # blanked; "A(3,1,2)": that table with its UP and UPBAR tables blanked
     if blank_tables is None:
         P, expected = PartialBiquandle.blank(2), enumerate_biquandles(2)
     else:
-        P = PartialBiquandle.from_biquandle(kishino_T)
+        T = kishino_T
+        if blank_tables == "A(3,1,2)":
+            T, blank_tables = alexander_biquandle(3, 1, 2), (0, 2)
+        P = PartialBiquandle.from_biquandle(T)
         for k in blank_tables:
-            P.tables[k] = [[0] * 4 for _ in range(4)]
+            P.tables[k] = [[0] * T.n for _ in range(T.n)]
         expected = complete_partial(P)
     search = CheckedSearch(P)
     assert search.run() == expected
     assert search.nodes > 10
+    # every node restores the ratings it found, the root included
+    assert (search.reads, search.rating) == search.root
 
 
 def test_search_tree_size_is_pinned(blank_search):
@@ -231,8 +243,11 @@ def test_partial_helpers(kishino_T):
     F.set((OpKind.UP, 1, 2), 0)
     assert F.blanks() == [(OpKind.UP, 1, 2)]
     assert F.get((OpKind.UP, 1, 2)) == 0
-    # the original is untouched through copies
-    assert F.copy().to_biquandle != kishino_T
+    # a copy is independent: filling its blank leaves the original blank
+    G = F.copy()
+    G.set((OpKind.UP, 1, 2), kishino_T.tables[OpKind.UP][0][1])
+    assert F.blanks() == [(OpKind.UP, 1, 2)]
+    assert G != F and G.to_biquandle() == kishino_T
 
 
 def test_axiom_instance_counts():
@@ -263,18 +278,18 @@ def test_ratings_never_increase_as_cells_fill(kishino_T):
     cells = all_cells(4)
     rng.shuffle(cells)
     P = PartialBiquandle.blank(4)
-    prev = _ratings(P)
+    prev = ratings(P)
     assert prev == {c: rate_zero(P, c) for c in P.blanks()}
     for cell in cells:
         P.set(cell, kishino_T.tables[cell[0]][cell[1] - 1][cell[2] - 1])
-        cur = _ratings(P)
+        cur = ratings(P)
         assert all(cur[c] <= prev[c] for c in cur)
         prev = cur
     # spot-check the bulk ratings against the single-cell ones mid-fill too
     P2 = PartialBiquandle.blank(4)
     for cell in cells[:40]:
         P2.set(cell, kishino_T.tables[cell[0]][cell[1] - 1][cell[2] - 1])
-    assert _ratings(P2) == {c: rate_zero(P2, c) for c in P2.blanks()}
+    assert ratings(P2) == {c: rate_zero(P2, c) for c in P2.blanks()}
 
 
 def test_propagation_detects_contradiction():
