@@ -154,14 +154,14 @@ def _cmd_colorings(args, out):
     T = _load_biquandle(args.biquandle, args.block_convention)
     code = _load_code(args.code)
     pres = knot_presentation(code)
-    reduced, trace = reduce_with_trace(pres)
+    reduced, _trace = reduce_with_trace(pres)
     # an oversized search fails at once, before validating a large table
     check_search_size(T.n, len(reduced.generators))
     if not T.is_valid:
         raise DomainError("biquandle fails validation")
     if args.show_presentation:
         _write_presentation(pres, reduced, out)
-    cols = scan_reduction(T, reduced, trace, code.n_semi_arcs)
+    cols = scan_reduction(T, pres, reduced.generators)
     if args.porcelain:
         out.write(json.dumps({"count": len(cols), "colorings": [list(c) for c in cols]}) + "\n")
         return 0

@@ -69,12 +69,13 @@ def zero_cochain(n: int, field: FieldSpec) -> Cochain2:
     return Cochain2(field, tuple(field.zero() for _ in range(n * n)))
 
 
-def cocycle_matrix(T: Biquandle, field: FieldSpec) -> ExactMatrix:
-    """n^3 x n^2 matrix of the cocycle condition, one sparse row per triple
-    (x, y, z) in lexicographic order; contributions accumulate."""
+def cocycle_matrix(T: Biquandle) -> ExactMatrix:
+    """n^3 x n^2 integer matrix of the cocycle condition (the coboundary
+    map on 2-cochains over Z), one sparse row per triple (x, y, z) in
+    lexicographic order; contributions accumulate.  The elimination
+    coerces its entries into whichever field it works over."""
     n = T.n
     up, down = T.up, T.down
-    coerce = field.coerce
     rows = []
     for x in range(1, n + 1):
         for y in range(1, n + 1):
@@ -85,13 +86,12 @@ def cocycle_matrix(T: Biquandle, field: FieldSpec) -> ExactMatrix:
                                     (x, zy, -1), (y, z, -1), (up(x, zy), up(y, z), -1)):
                     k = (a - 1) * n + (b - 1)
                     row[k] = row.get(k, 0) + delta
-                rows.append({k: c for k, c in ((k, coerce(v)) for k, v in row.items()) if c})
+                rows.append({k: c for k, c in row.items() if c})
     return ExactMatrix(n ** 3, n * n, rows)
 
 
 def is_cocycle(T: Biquandle, v: Cochain2) -> bool:
-    M = cocycle_matrix(T, v.field)
-    return not any(matvec(M, v.coeffs, v.field))
+    return not any(matvec(cocycle_matrix(T), v.coeffs, v.field))
 
 
 def coboundary_of(T: Biquandle, lam: Cochain1) -> Cochain2:
@@ -139,7 +139,7 @@ def cohomology_basis(T: Biquandle, field: FieldSpec) -> list[Cochain2]:
     """Representatives of H2: kernel basis vectors of the cocycle matrix
     that extend the span of the coboundaries, in canonical order."""
     return [Cochain2(field, v)
-            for v in _representatives(T, field, cocycle_matrix(T, field).entries)]
+            for v in _representatives(T, field, cocycle_matrix(T).entries)]
 
 
 def ri_constraint_pairs(T: Biquandle) -> list[tuple[int, int]]:
@@ -183,8 +183,8 @@ def reduced_cohomology_basis(T: Biquandle, field: FieldSpec) -> list[Cochain2]:
     primitive integer vector with positive leading entry.
     """
     n = T.n
-    rows = cocycle_matrix(T, field).entries
-    rows += [{(x - 1) * n + (y - 1): field.one()} for x, y in ri_constraint_pairs(T)]
+    rows = cocycle_matrix(T).entries
+    rows += [{(x - 1) * n + (y - 1): 1} for x, y in ri_constraint_pairs(T)]
     reps = _representatives(T, field, rows)
     if field.is_rational:
         reps = [_primitive(v) for v in reps]

@@ -3,13 +3,14 @@
 Two independent enumeration strategies, kept deliberately separate so each
 can check the other:
 
-  enumerate_colorings        reduce the presentation, backtrack over the
-                             surviving generators, checking each reduced
-                             relation as soon as its generators are
-                             assigned, then rebuild eliminated generators
-                             by replaying the reduction trace backwards
-                             (scan_reduction does all but the reduction,
-                             for callers that have one already);
+  enumerate_colorings        reduce the presentation to learn which
+                             semi-arcs survive, then backtrack over the
+                             survivors, computing every other semi-arc
+                             from the crossing relations and checking each
+                             relation that isolates a survivor as soon as
+                             its inputs are known (scan_reduction does all
+                             but the reduction, for callers that have one
+                             already);
   enumerate_colorings_oracle depth-first fill-and-propagate directly on the
                              unreduced presentation, on the constraint
                              engine of the search module, which the table
@@ -21,24 +22,24 @@ can check the other:
 Both return colorings as tuples indexed by semi-arc (entry k-1 is the color
 of semi-arc k), sorted lexicographically.
 
-The scan is staged.  Tietze substitution pastes whole words in for
-generators, so the reduced relations are trees that repeat the same
-subwords many times (Conway's five are 811 nodes holding 22 distinct
-subwords).  Once per scan they are compiled into a hash-consed DAG with
-one value slot per distinct subword, and each subword is placed at the
-level of the last survivor it reads.
+The scan is staged on the crossing relations themselves.  Tietze reduction
+eliminates a semi-arc only when its word no longer contains it, so the
+relations isolating the eliminated semi-arcs form no cycle: each of their
+colors is one table lookup of colors known before it.  The reduction only
+picks the survivors; its substituted words (Conway's five are 811 nodes)
+are never evaluated, since they repeat these same lookups.
 Survivors are ordered greedily: next comes the one that completes the
-most relations not yet complete, ties going to the lowest generator.  At
-each level the scan assigns that survivor, fills the level's subwords by
-one table lookup each, then checks the relations the survivor completes.
+most survivor relations not yet complete, ties going to the lowest
+generator.  At each level the scan assigns that survivor, fills in by one
+table lookup each the semi-arcs whose last survivor it is, then checks the
+relations the survivor completes.
 """
 
 from __future__ import annotations
 
 from .core import Biquandle, compile_sides
 from .gauss import GaussCode
-from .presentation import (Gen, Presentation, eval_word, knot_presentation,
-                           reduce_with_trace)
+from .presentation import Gen, Presentation, knot_presentation, reduce_with_trace
 from .search import Engine
 
 CANDIDATE_LIMIT = 10 ** 8
@@ -48,45 +49,34 @@ class SearchLimitError(RuntimeError):
     pass
 
 
-Coloring = tuple  # color of semi-arc k at index k-1
+def _stage(pres: Presentation, survivors):
+    """Stage the crossing relations of a knot presentation for a scan of
+    the survivors of a Tietze reduction of it.
 
-
-def _stage(reduced: Presentation):
-    """Compile the reduced relations into one hash-consed DAG, staged by
-    survivor.
-
-    Returns (order, slots, steps, checks, n_slots): the survivors in scan
-    order, the value slot of each, and per scan level the table lookups
-    (dst, kind, left, right) and the relation checks (word, rhs) that the
-    level's survivor completes.  Slots 0..k-1 hold the survivors; every
-    distinct subword above them gets the next free slot.
+    Returns (order, steps, checks, n_slots): the survivors in scan order,
+    and per scan level the table lookups (dst, kind, left, right) and the
+    relation checks (slot, survivor) that the level's survivor completes.
+    Semi-arc g has value slot g; the left side of each relation that
+    isolates a survivor gets a spare slot after the semi-arcs.
     """
-    survivors = reduced.generators
-    slot_of = {g: i for i, g in enumerate(survivors)}
-    gens: list[frozenset] = [frozenset((g,)) for g in survivors]
-    nodes: list[tuple[int, int, int]] = []  # (kind, left, right) of slot k+i
-    interned: dict[tuple[int, int, int], int] = {}
-    seen: dict[int, int] = {}  # id of a shared OpWord -> its slot
+    isolating = {r.rhs: r.lhs for r in pres.relations}
+    reads = {g: {g} for g in survivors}  # the survivors a color depends on
+    placed: list[int] = []  # eliminated semi-arcs, each after those it reads
 
-    def intern(w) -> int:
-        if isinstance(w, Gen):
-            return slot_of[w.index]
-        slot = seen.get(id(w))
-        if slot is None:
-            key = (int(w.kind), intern(w.left), intern(w.right))
-            slot = interned.get(key)
-            if slot is None:
-                slot = interned[key] = len(gens)
-                nodes.append(key)
-                gens.append(gens[key[1]] | gens[key[2]])
-            seen[id(w)] = slot
-        return slot
+    def read(g: int) -> set[int]:
+        if g not in reads:
+            w = isolating[g]
+            reads[g] = read(w.left.index) | read(w.right.index)
+            placed.append(g)
+        return reads[g]
 
-    relations = [(intern(r.lhs), slot_of[r.rhs]) for r in reduced.relations]
+    for g in pres.generators:
+        read(g)
+    checked = [(w, s) for s, w in isolating.items() if s in survivors]
 
     # Greedy order: next, the survivor that completes the most relations
     # not yet complete; ties go to the lowest generator number.
-    pending = [set(gens[w] | gens[r]) for w, r in relations]
+    pending = [reads[w.left.index] | reads[w.right.index] | {s} for w, s in checked]
     order: list[int] = []
     left = sorted(survivors)
     while left:
@@ -97,19 +87,22 @@ def _stage(reduced: Presentation):
             p.discard(g)
         pending = [p for p in pending if p]
 
-    # A slot's level is the scan position of its last survivor.
-    k = len(survivors)
-    level = [0] * len(gens)
+    # A color's level is the scan position of the last survivor it reads.
+    arcs = len(pres.generators)
+    level = [0] * (arcs + 1)
     for i, g in enumerate(order):
-        level[slot_of[g]] = i
-    steps: list[list] = [[] for _ in range(k)]
-    for dst, (kind, a, b) in enumerate(nodes, start=k):
-        level[dst] = max(level[a], level[b])
-        steps[level[dst]].append((dst, kind, a, b))
-    checks: list[list] = [[] for _ in range(k)]
-    for w, r in relations:
-        checks[max(level[w], level[r])].append((w, r))
-    return order, [slot_of[g] for g in order], steps, checks, len(gens)
+        level[g] = i
+    steps: list[list] = [[] for _ in order]
+    checks: list[list] = [[] for _ in order]
+    for g in placed:
+        w = isolating[g]
+        level[g] = max(level[w.left.index], level[w.right.index])
+        steps[level[g]].append((g, int(w.kind), w.left.index, w.right.index))
+    for spare, (w, s) in enumerate(checked, start=arcs + 1):
+        at = max(level[w.left.index], level[w.right.index])
+        steps[at].append((spare, int(w.kind), w.left.index, w.right.index))
+        checks[max(at, level[s])].append((spare, s))
+    return order, steps, checks, arcs + 1 + len(checked)
 
 
 def _padded(table) -> list[list[int]]:
@@ -117,28 +110,25 @@ def _padded(table) -> list[list[int]]:
     return [[0] * (len(table) + 1)] + [[0, *row] for row in table]
 
 
-def _scan(T: Biquandle, reduced: Presentation, trace,
-          n_semi_arcs: int) -> list[tuple[int, ...]]:
+def _scan(T: Biquandle, pres: Presentation, survivors) -> list[tuple[int, ...]]:
     # Backtrack over the survivors in staged order.  Level i assigns
-    # survivor i, evaluates each distinct subword that survivor completes
-    # with one table lookup, then checks the relations it completes; a
-    # full assignment is rebuilt by replaying the trace.
-    order, slots, steps, checks, n_slots = _stage(reduced)
+    # survivor i, looks up each semi-arc color (and each survivor
+    # relation's left side) that it completes, then checks the survivor
+    # relations it completes.  A full assignment has every semi-arc's
+    # color in its own slot.
+    order, steps, checks, n_slots = _stage(pres, survivors)
     tables = [_padded(t) for t in T.tables]
-    levels = [(slot, [(dst, tables[kind], a, b) for dst, kind, a, b in step], check)
-              for slot, step, check in zip(slots, steps, checks)]
+    levels = [(g, [(dst, tables[kind], a, b) for dst, kind, a, b in step], check)
+              for g, step, check in zip(order, steps, checks)]
     k = len(levels)
+    arcs = len(pres.generators)
     values = range(1, T.n + 1)
     val = [0] * n_slots
     found = []
 
     def extend(i: int) -> None:
         if i == k:
-            asg = dict(zip(order, (val[s] for s in slots)))
-            # each eliminated word reads only generators replayed before it
-            for g, w in reversed(trace):
-                asg[g] = eval_word(w, T, asg)
-            found.append(tuple(asg[a] for a in range(1, n_semi_arcs + 1)))
+            found.append(tuple(val[1:arcs + 1]))
             return
         slot, lookups, tests = levels[i]
         for v in values:
@@ -165,17 +155,16 @@ def check_search_size(n: int, survivors: int) -> None:
 
 def enumerate_colorings(code: GaussCode, T: Biquandle) -> list[tuple[int, ...]]:
     """All colorings, via reduction plus a backtracking scan of the survivors."""
-    reduced, trace = reduce_with_trace(knot_presentation(code))
-    return scan_reduction(T, reduced, trace, code.n_semi_arcs)
+    pres = knot_presentation(code)
+    reduced, _trace = reduce_with_trace(pres)
+    return scan_reduction(T, pres, reduced.generators)
 
 
-def scan_reduction(T: Biquandle, reduced: Presentation, trace,
-                   n_semi_arcs: int) -> list[tuple[int, ...]]:
-    """All colorings, by a backtracking scan of the survivors of a
-    reduction (as reduce_with_trace returns it) of a code's knot
-    presentation."""
-    check_search_size(T.n, len(reduced.generators))
-    found = _scan(T, reduced, trace, n_semi_arcs)
+def scan_reduction(T: Biquandle, pres: Presentation, survivors) -> list[tuple[int, ...]]:
+    """All colorings of a code's knot presentation, by a backtracking scan
+    of the survivors (the generators left) of a Tietze reduction of it."""
+    check_search_size(T.n, len(survivors))
+    found = _scan(T, pres, survivors)
     found.sort()
     return found
 

@@ -115,9 +115,6 @@ class Biquandle:
     def n(self) -> int:
         return len(self.tables[0])
 
-    def op(self, kind: OpKind, a: int, b: int) -> int:
-        return self.tables[kind][a - 1][b - 1]
-
     def up(self, a: int, b: int) -> int:
         return self.tables[0][a - 1][b - 1]
 

@@ -133,8 +133,11 @@ QQ = FieldSpec()
 
 @dataclass
 class ExactMatrix:
-    """Sparse matrix with exact field entries: entries[i] maps the column
-    (0-based) of every nonzero entry of row i to its value."""
+    """Sparse matrix with exact entries: entries[i] maps the column
+    (0-based) of every nonzero entry of row i to its value.  Entries are
+    field elements or integers: the elimination (rref, kernel_basis)
+    coerces them into its field, and matvec's field arithmetic takes
+    integers as they are."""
 
     rows: int
     cols: int

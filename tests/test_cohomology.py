@@ -112,11 +112,11 @@ def test_unreduced_h2(kishino_T):
 
 
 def test_cocycle_matrix_shape(kishino_T):
-    M = cocycle_matrix(kishino_T, Q)
+    M = cocycle_matrix(kishino_T)
     assert (M.rows, M.cols) == (64, 16)
     assert all(len(row) <= 6 and all(row.values()) for row in M.entries)
     A = alexander_biquandle(3, 1, 2)
-    M3 = cocycle_matrix(A, F5)
+    M3 = cocycle_matrix(A)
     assert (M3.rows, M3.cols) == (27, 9)
 
 

@@ -164,15 +164,21 @@ def test_scan_matches_odometer_on_random_codes(kishino_T, random_code):
 def test_scan_matches_odometer_on_partial_reductions(trefoil_code, kishino_code, kishino_T):
     # A reduction cut short by its word budget leaves relations whose
     # isolated generator is not in their word, so the scan must wait for
-    # that generator too before checking them.
+    # that generator too before checking them.  With no elimination at all
+    # every semi-arc survives and every crossing relation is a check.
+    tables = (alexander_biquandle(3, 1, 2), kishino_T)
     for code in (trefoil_code, kishino_code):
+        pres = knot_presentation(code)
         for budget in (0, 24):
             with pytest.warns(UserWarning, match="reduction stopped early"):
-                reduced, trace = reduce_with_trace(knot_presentation(code), budget)
-            for T in (alexander_biquandle(3, 1, 2), kishino_T):
-                assert scan_reduction(T, reduced, trace, code.n_semi_arcs) == \
+                reduced, trace = reduce_with_trace(pres, budget)
+            for T in tables:
+                assert scan_reduction(T, pres, reduced.generators) == \
                     odometer_scan(T, reduced, trace, code.n_semi_arcs), \
                     f"budget {budget} by order {T.n}"
+        for T in tables:
+            assert scan_reduction(T, pres, pres.generators) == enumerate_colorings(code, T), \
+                f"no elimination by order {T.n}"
 
 
 def test_scan_matches_odometer_on_larger_random_codes(kishino_T, random_code):
@@ -193,13 +199,14 @@ def test_scan_ignores_relation_order(conway_code, kishino_T, random_code):
     rng = random.Random(20261021)
     codes = [conway_code] + [random_code(rng, rng.randint(5, 9), 1 + i % 2) for i in range(6)]
     for i, code in enumerate(codes):
-        reduced, trace = reduce_with_trace(knot_presentation(code))
-        relations = list(reduced.relations)
+        pres = knot_presentation(code)
+        survivors = reduce_with_trace(pres)[0].generators
+        relations = list(pres.relations)
         rng.shuffle(relations)
-        permuted = Presentation(reduced.generators, tuple(relations))
+        permuted = Presentation(pres.generators, tuple(relations))
         for T in (kishino_T, alexander_biquandle(5, 2, 3)):
-            assert scan_reduction(T, permuted, trace, code.n_semi_arcs) == \
-                scan_reduction(T, reduced, trace, code.n_semi_arcs), f"code {i} by order {T.n}"
+            assert scan_reduction(T, permuted, survivors) == \
+                scan_reduction(T, pres, survivors), f"code {i} by order {T.n}"
 
 
 class CountingTable(list):
@@ -214,15 +221,19 @@ class CountingTable(list):
 
 def test_scan_evaluates_each_subword_once(conway_code, monkeypatch):
     # Tietze substitution pastes whole words in for generators, so
-    # Conway's 5 reduced relations are trees of 811 nodes; they hold 22
-    # distinct subwords, each looked up once per assignment of the
-    # survivors it reads.  Checking each relation with the recursive
-    # eval_word instead would make 201,880 calls here.
-    reduced = reduce_with_trace(knot_presentation(conway_code))[0]
+    # Conway's 5 reduced relations are trees of 811 nodes.  They hold 22
+    # distinct subwords, one per crossing relation (17 eliminated semi-arcs
+    # and 5 survivor checks), and the scan stages the crossing relations
+    # themselves: each is looked up once per assignment of the survivors it
+    # reads.  Checking each reduced relation with the recursive eval_word
+    # instead would make 201,880 calls here.
+    pres = knot_presentation(conway_code)
+    reduced = reduce_with_trace(pres)[0]
     assert sum(word_nodes(r.lhs) for r in reduced.relations) == 811
-    order, _slots, steps, checks, n_slots = coloring._stage(reduced)
-    assert n_slots - len(order) == sum(map(len, steps)) == 22
-    assert sum(map(len, checks)) == len(reduced.relations)
+    order, steps, checks, n_slots = coloring._stage(pres, reduced.generators)
+    # slot 0 is unused and the survivors are assigned; each other slot is one lookup
+    assert n_slots - 1 - len(order) == sum(map(len, steps)) == 22
+    assert sum(map(len, checks)) == len(reduced.relations) == 5
 
     padded = coloring._padded
     monkeypatch.setattr(coloring, "_padded", lambda t: CountingTable(padded(t)))
