@@ -9,6 +9,7 @@ zero cocycle recovers the counting invariant as N * t^0.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,35 +57,44 @@ class LaurentMultiset:
         return " + ".join(parts)
 
 
-def _state_sum(crossings, phi: Cochain2, coloring) -> object:
-    F = phi.field
+def _state_sum(crossings, n: int, phi: Cochain2, coloring) -> object:
+    """Reads phi(x, y) at coeffs[(x - 1) * n + (y - 1)], with n given once:
+    Cochain2.value would recompute n on every lookup."""
+    F, coeffs = phi.field, phi.coeffs
     total = F.zero()
     for x in crossings:
         if x.sign > 0:
-            total = F.add(total, phi.value(coloring[x.under_in - 1],
-                                           coloring[x.over_in - 1]))
+            total = F.add(total, coeffs[(coloring[x.under_in - 1] - 1) * n
+                                        + coloring[x.over_in - 1] - 1])
         else:
-            total = F.sub(total, phi.value(coloring[x.under_out - 1],
-                                           coloring[x.over_out - 1]))
+            total = F.sub(total, coeffs[(coloring[x.under_out - 1] - 1) * n
+                                        + coloring[x.over_out - 1] - 1])
     return total
+
+
+def _check_size(T: Biquandle, phi: Cochain2) -> None:
+    if phi.n != T.n:
+        raise ValueError(f"cochain is over {phi.n} elements, biquandle over {T.n}")
 
 
 def boltzmann_sum(code: GaussCode, T: Biquandle, phi: Cochain2, coloring) -> object:
     """Signed sum of cocycle values over the crossings of one coloring.
 
     coloring is indexable by semi-arc - 1 (as returned by
-    enumerate_colorings).
+    enumerate_colorings).  Errors if phi is over another number of
+    elements than T.
     """
-    return _state_sum(crossings_of(code), phi, coloring)
+    _check_size(T, phi)
+    return _state_sum(crossings_of(code), T.n, phi, coloring)
 
 
 def _invariants(code: GaussCode, T: Biquandle, cocycles) -> list[LaurentMultiset]:
     """The state-sum invariant of each cocycle, from one enumeration of the
     colorings; no checks."""
     colorings = enumerate_colorings(code, T)
-    crossings = crossings_of(code)
+    crossings, n = crossings_of(code), T.n
     return [LaurentMultiset.from_exponents(
-                _state_sum(crossings, phi, c) for c in colorings)
+                _state_sum(crossings, n, phi, c) for c in colorings)
             for phi in cocycles]
 
 
@@ -97,8 +107,7 @@ def yb_invariant(code: GaussCode, T: Biquandle, phi: Cochain2) -> LaurentMultise
     """
     if not T.is_valid:
         raise ValueError("biquandle fails validation")
-    if phi.n != T.n:
-        raise ValueError(f"cochain is over {phi.n} elements, biquandle over {T.n}")
+    _check_size(T, phi)
     if not is_cocycle(T, phi):
         raise ValueError("cochain is not a cocycle")
     if not is_ri_reduced(T, phi):
@@ -111,13 +120,27 @@ def yb_invariant_suite(code: GaussCode, T: Biquandle,
                        field: FieldSpec) -> list[tuple[Cochain2, LaurentMultiset]]:
     """The invariant for every reduced-cohomology basis cocycle.
 
-    Basis cocycles are cocycles and RI-reduced by construction, so they
-    are not checked again; the colorings are enumerated once for all of
-    them, and not at all for an empty basis.
+    The basis depends on the table and field only, so it is computed once
+    per (T, field) per process (see _suite_basis) and each call pays only
+    for its code.  Basis cocycles are cocycles and RI-reduced by
+    construction, so they are not checked again; the colorings are
+    enumerated once for all of them, and not at all for an empty basis.
     """
     if not T.is_valid:
         raise ValueError("biquandle fails validation")
-    basis = reduced_cohomology_basis(T, field)
+    basis = _suite_basis(T, field)
     if not basis:
         return []
     return list(zip(basis, _invariants(code, T, basis)))
+
+
+@functools.lru_cache(maxsize=16)
+def _suite_basis(T: Biquandle, field: FieldSpec) -> tuple[Cochain2, ...]:
+    """reduced_cohomology_basis(T, field), kept for the suite's next call.
+
+    Biquandle and FieldSpec are frozen dataclasses, so equal tables read
+    from two files share one entry; the tuple and its frozen cocycles are
+    safe to hand to every caller.  The size bound keeps a process that
+    walks many tables from holding every basis it ever computed.
+    """
+    return tuple(reduced_cohomology_basis(T, field))

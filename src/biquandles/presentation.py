@@ -16,6 +16,7 @@ its other side, substituting the word for the generator everywhere.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import Biquandle, OpKind
@@ -51,16 +52,16 @@ class Presentation:
     relations: tuple[Relation, ...]
 
 
-def word_generators(w) -> set[int]:
-    if isinstance(w, Gen):
-        return {w.index}
-    return word_generators(w.left) | word_generators(w.right)
-
-
 def word_nodes(w) -> int:
     if isinstance(w, Gen):
         return 1
     return 1 + word_nodes(w.left) + word_nodes(w.right)
+
+
+def _leaf_counts(w) -> Counter:
+    if isinstance(w, Gen):
+        return Counter((w.index,))
+    return _leaf_counts(w.left) + _leaf_counts(w.right)
 
 
 def substitute(w, gen: int, replacement):
@@ -139,24 +140,38 @@ def reduce_with_trace(p: Presentation, max_nodes: int = NODE_BUDGET
     replaying the trace in reverse.  If total word size exceeds max_nodes,
     reduction stops early with a warning and the partially reduced
     presentation is returned.
+
+    Eliminations are decided on leaf counts, not by walking the words: each
+    relation keeps {generator: occurrences in its word}.  Substituting the
+    word of g for its k occurrences adds k times that word's counts, and a
+    word of L leaves has 2L - 1 nodes, so the budget is checked exactly.
+    Only the words that hold g are rebuilt.
     """
     rhs_seen = [r.rhs for r in p.relations]
     if len(set(rhs_seen)) != len(rhs_seen):
         raise ValueError("isolated generators must be distinct")
 
     relations = {r.rhs: r.lhs for r in p.relations}
+    leaves = {r.rhs: _leaf_counts(r.lhs) for r in p.relations}
+    total = sum(2 * c.total() - 1 for c in leaves.values())
     alive = set(p.generators)
     trace: list[tuple[int, Word]] = []
     while True:
-        g = next((g for g, lhs in relations.items()
-                  if g not in word_generators(lhs)), None)
+        g = next((g for g, c in leaves.items() if g not in c), None)
         if g is None:
             break
-        word = relations.pop(g)
+        word, sub = relations.pop(g), leaves.pop(g)
         alive.discard(g)
         trace.append((g, word))
-        relations = {rhs: substitute(lhs, g, word) for rhs, lhs in relations.items()}
-        total = sum(word_nodes(lhs) for lhs in relations.values())
+        size = sub.total()
+        total -= 2 * size - 1
+        for rhs, c in leaves.items():
+            k = c.pop(g, 0)
+            if k:
+                relations[rhs] = substitute(relations[rhs], g, word)
+                for h, m in sub.items():
+                    c[h] += k * m
+                total += 2 * k * (size - 1)
         if total > max_nodes:
             warnings.warn(f"reduction stopped early: {total} word nodes exceeds "
                           f"budget {max_nodes}")

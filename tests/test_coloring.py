@@ -182,8 +182,9 @@ def test_scan_matches_odometer_on_partial_reductions(trefoil_code, kishino_code,
 
 
 def test_scan_matches_odometer_on_larger_random_codes(kishino_T, random_code):
-    # Knots and two-component links of 8 to 10 crossings: their reduced
-    # words share many subwords, so the staged DAG merges the most here.
+    # Knots and two-component links of 8 to 10 crossings: the most
+    # eliminated semi-arcs, with the longest chains of lookups between a
+    # survivor and the semi-arcs that depend on it.
     rng = random.Random(20261020)
     tables = (kishino_T, alexander_biquandle(3, 1, 2))
     for crossings in range(8, 11):

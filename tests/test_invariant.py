@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from biquandles import invariant
+from biquandles import cohomology, invariant
 from biquandles.cohomology import (Cochain1, Cochain2, coboundary_of,
                                    cochain2_from_pairs, read_cochain,
                                    reduced_cohomology_basis, zero_cochain)
-from biquandles.core import Biquandle, alexander_biquandle
+from biquandles.core import Biquandle, BlockConvention, alexander_biquandle, read_biquandle
 from biquandles.coloring import counting_invariant
 from biquandles.gauss import insert_r_move
 from biquandles.invariant import LaurentMultiset, boltzmann_sum, yb_invariant, yb_invariant_suite
@@ -118,6 +118,38 @@ def test_suite_rejects_invalid_biquandle(unknot_code):
         yb_invariant_suite(unknot_code, bad, Q)
 
 
+def test_suite_computes_one_basis_per_table_and_field(data_dir, kishino_T, unknot_code,
+                                                     trefoil_code, kishino_code, monkeypatch):
+    computed = []
+    real = cohomology._representatives
+    monkeypatch.setattr(cohomology, "_representatives",
+                        lambda T, F, rows: computed.append((T, F)) or real(T, F, rows))
+    invariant._suite_basis.cache_clear()
+    # the same table read from its file again: equal, but a separate object
+    reread = read_biquandle((data_dir / "kishinoT.bq").read_text(), BlockConvention.DEFINITION)
+    assert reread == kishino_T and reread is not kishino_T
+    bases = {}
+    for F in (Q, F5):
+        for T in (kishino_T, reread):
+            for code in (unknot_code, trefoil_code, kishino_code):
+                bases.setdefault(F, []).append([phi for phi, _v in yb_invariant_suite(code, T, F)])
+    assert computed == [(kishino_T, Q), (kishino_T, F5)]
+    for F, seen in bases.items():
+        assert seen[0] and all(phi.field == F for phi in seen[0])
+        assert all(basis == seen[0] for basis in seen)
+
+    bad = Biquandle(tuple(((1, 1), (1, 1)) for _ in range(4)))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="fails validation"):
+            yb_invariant_suite(unknot_code, bad, Q)
+    assert len(computed) == 2
+
+    # the cohomology functions themselves keep no cache
+    direct = [reduced_cohomology_basis(kishino_T, Q) for _ in range(2)]
+    assert computed[2:] == [(kishino_T, Q)] * 2
+    assert direct == [bases[Q][0]] * 2
+
+
 # --- invariance laws --------------------------------------------------------
 
 
@@ -176,6 +208,8 @@ def test_invalid_biquandle_rejected(unknot_code):
 def test_size_mismatch_rejected(unknot_code, kishino_T):
     with pytest.raises(ValueError, match="cochain is over 2 elements, biquandle over 4"):
         yb_invariant(unknot_code, kishino_T, zero_cochain(2, Q))
+    with pytest.raises(ValueError, match="cochain is over 2 elements, biquandle over 4"):
+        boltzmann_sum(unknot_code, kishino_T, zero_cochain(2, Q), (1,))
 
 
 def test_non_cocycle_rejected(unknot_code, kishino_T):

@@ -1,14 +1,15 @@
+import random
 import warnings
 
 import pytest
 
 from biquandles.core import OpKind, alexander_biquandle
 from biquandles.gauss import parse_gauss_code
-from biquandles.presentation import (Gen, OpWord, Presentation, Relation,
-                                     eval_word, format_presentation,
+from biquandles.presentation import (NODE_BUDGET, Gen, OpWord, Presentation,
+                                     Relation, eval_word, format_presentation,
                                      format_relation, format_word,
                                      knot_presentation, reduce_presentation,
-                                     reduce_with_trace, word_generators)
+                                     reduce_with_trace, substitute, word_nodes)
 
 # the 22 crossing relations of an 11-crossing virtual knot diagram,
 # two per crossing, one per semi-arc
@@ -18,6 +19,88 @@ CONWAY_RELATIONS = [
     "14_-19=15", "15^2=16", "16_1=17", "17^-12=18", "18_-13=19", "19^-14=20",
     "20^-7=21", "21_-10=22", "22^5=1",
 ]
+
+
+# --- the tree-walking reference ---------------------------------------------
+#
+# The reduction as it was before leaf counts: every round walks every word
+# to find the first eliminable relation, substitutes into every word, and
+# walks them all again to count nodes.  reduce_with_trace must return equal
+# presentations and traces and warn with the same messages.
+
+
+def word_generators(w) -> set[int]:
+    if isinstance(w, Gen):
+        return {w.index}
+    return word_generators(w.left) | word_generators(w.right)
+
+
+def tree_reduce_with_trace(p, max_nodes=NODE_BUDGET):
+    rhs_seen = [r.rhs for r in p.relations]
+    if len(set(rhs_seen)) != len(rhs_seen):
+        raise ValueError("isolated generators must be distinct")
+    relations = {r.rhs: r.lhs for r in p.relations}
+    alive = set(p.generators)
+    trace = []
+    while True:
+        g = next((g for g, lhs in relations.items()
+                  if g not in word_generators(lhs)), None)
+        if g is None:
+            break
+        word = relations.pop(g)
+        alive.discard(g)
+        trace.append((g, word))
+        relations = {rhs: substitute(lhs, g, word) for rhs, lhs in relations.items()}
+        total = sum(word_nodes(lhs) for lhs in relations.values())
+        if total > max_nodes:
+            warnings.warn(f"reduction stopped early: {total} word nodes exceeds "
+                          f"budget {max_nodes}")
+            break
+    generators = tuple(g for g in p.generators if g in alive)
+    rels = tuple(Relation(lhs, rhs) for rhs, lhs in sorted(relations.items()))
+    return Presentation(generators, rels), trace
+
+
+def _with_warnings(reduce, pres, budget):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = reduce(pres, budget)
+    return result, [str(w.message) for w in caught]
+
+
+BUDGETS = (0, 24, 40, 200, NODE_BUDGET)
+
+
+def test_reduction_matches_tree_walk_on_random_codes(random_code):
+    # 69 seeded knots and links of 2 to 24 crossings, each cut short at
+    # four budgets (the warning fires at the same step) and run in full
+    rng = random.Random(20261018)
+    for crossings in range(2, 25):
+        for components in (1, 2, 3):
+            pres = knot_presentation(random_code(rng, crossings, components))
+            for budget in BUDGETS:
+                assert _with_warnings(reduce_with_trace, pres, budget) == \
+                    _with_warnings(tree_reduce_with_trace, pres, budget), \
+                    f"{crossings} crossings, {components} components, budget {budget}"
+
+
+def test_reduction_matches_tree_walk_on_bare_generators():
+    # 4=5 has a bare generator on the left and goes first: it pastes the
+    # leaf 4 into three words, one of which then holds its own isolated
+    # generator; 3=3 is bare and never eliminable
+    rels = (Relation(Gen(4), 5),
+            Relation(OpWord(OpKind.UP, Gen(1), Gen(5)), 2),
+            Relation(OpWord(OpKind.DOWN, Gen(5), Gen(2)), 4),
+            Relation(Gen(3), 3),
+            Relation(OpWord(OpKind.UPBAR, Gen(5), Gen(5)), 1))
+    pres = Presentation((1, 2, 3, 4, 5), rels)
+    for budget in BUDGETS:
+        result, caught = _with_warnings(reduce_with_trace, pres, budget)
+        assert (result, caught) == _with_warnings(tree_reduce_with_trace, pres, budget)
+    reduced, trace = result
+    assert [g for g, _w in trace] == [5, 2, 1]
+    assert reduced.generators == (3, 4)
+    assert [format_relation(r) for r in reduced.relations] == ["3=3", "4_((4^-4)^4)=4"]
 
 
 def test_trefoil_relations(trefoil_code):
