@@ -14,6 +14,8 @@ A domain error prints one "error:" line to stderr; with --porcelain it also
 prints {"error": "<message>"} as one JSON line to stdout.
 All output is deterministic.  --jobs is accepted for compatibility and
 changes nothing: colorings run in one process.
+Each subcommand imports only the modules it uses, so start-up pays for no
+other subcommand.
 """
 
 from __future__ import annotations
@@ -23,17 +25,7 @@ import json
 import os
 import sys
 
-from .cohomology import (CochainClass, classify_cochain, format_cochain,
-                         read_cochain, reduced_cohomology_basis, write_cochain)
-from .coloring import SearchLimitError, check_search_size, scan_reduction
-from .core import (BlockConvention, ParseError, alexander_biquandle,
-                   read_biquandle, validate_biquandle, write_biquandle)
-from .gauss import parse_gauss_code, serialize_gauss_code
-from .invariant import yb_invariant, yb_invariant_suite
-from .linalg import FieldSpec
-from .presentation import (format_presentation, knot_presentation,
-                           reduce_presentation, reduce_with_trace)
-from .search import ENUMERATION_LIMIT, enumerate_biquandles
+from .core import BlockConvention, ParseError, SearchLimitError, read_biquandle
 
 
 class DomainError(Exception):
@@ -62,6 +54,7 @@ def _load_biquandle(path: str, convention: BlockConvention):
 
 
 def _load_code(path: str):
+    from .gauss import parse_gauss_code
     with open(path) as fh:
         text = fh.read()
     try:
@@ -70,7 +63,18 @@ def _load_code(path: str):
         raise DomainError(f"{path}: {e}")
 
 
+def _load_cochain(path: str, n: int):
+    from .cohomology import read_cochain
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return read_cochain(text, n)
+    except ParseError as e:
+        raise DomainError(f"{path}: {e}")
+
+
 def _write_presentation(pres, reduced, out):
+    from .presentation import format_presentation
     out.write("presentation:\n")
     for line in format_presentation(pres).splitlines():
         out.write("  " + line + "\n")
@@ -80,6 +84,7 @@ def _write_presentation(pres, reduced, out):
 
 
 def _print_presentation(code, out):
+    from .presentation import knot_presentation, reduce_presentation
     pres = knot_presentation(code)
     _write_presentation(pres, reduce_presentation(pres), out)
 
@@ -98,6 +103,7 @@ def _cmd_validate(args, out):
 
 
 def _cmd_alexander(args, out):
+    from .core import alexander_biquandle, write_biquandle
     T = alexander_biquandle(args.n, args.s, args.t)
     text = write_biquandle(T, args.block_convention)
     if args.output:
@@ -109,7 +115,10 @@ def _cmd_alexander(args, out):
 
 
 def _cmd_enumerate(args, out):
-    structures = enumerate_biquandles(args.n, limit=args.limit)
+    from .core import write_biquandle
+    from .search import ENUMERATION_LIMIT, enumerate_biquandles
+    limit = ENUMERATION_LIMIT if args.limit is None else args.limit
+    structures = enumerate_biquandles(args.n, limit=limit)
     os.makedirs(args.output_dir, exist_ok=True)
     width = max(4, len(str(len(structures))))
     for i, T in enumerate(structures, start=1):
@@ -121,6 +130,9 @@ def _cmd_enumerate(args, out):
 
 
 def _cmd_cohomology(args, out):
+    from .cohomology import (classify_cochain, format_cochain,
+                             reduced_cohomology_basis, write_cochain)
+    from .linalg import FieldSpec
     field = FieldSpec.from_name(args.field)
     T = _load_biquandle(args.biquandle, args.block_convention)
     if not T.is_valid:
@@ -137,8 +149,7 @@ def _cmd_cohomology(args, out):
         for k, phi in enumerate(basis, start=1):
             out.write(f"phi[{k}] = {format_cochain(phi)}\n")
     if args.classify:
-        with open(args.classify) as fh:
-            phi = read_cochain(fh.read(), T.n)
+        phi = _load_cochain(args.classify, T.n)
         result = classify_cochain(T, phi)
         out.write(f"classification: {result.kind.value}"
                   f"{' (RI-reduced)' if result.ri_reduced else ''}\n")
@@ -151,6 +162,8 @@ def _cmd_cohomology(args, out):
 
 
 def _cmd_colorings(args, out):
+    from .coloring import check_search_size, scan_reduction
+    from .presentation import knot_presentation, reduce_with_trace
     T = _load_biquandle(args.biquandle, args.block_convention)
     code = _load_code(args.code)
     pres = knot_presentation(code)
@@ -175,10 +188,10 @@ def _cmd_colorings(args, out):
 
 
 def _cmd_invariant(args, out):
+    from .invariant import yb_invariant
     T = _load_biquandle(args.biquandle, args.block_convention)
     code = _load_code(args.code)
-    with open(args.cocycle) as fh:
-        phi = read_cochain(fh.read(), T.n)
+    phi = _load_cochain(args.cocycle, T.n)
     if args.show_presentation:
         _print_presentation(code, out)
     value = yb_invariant(code, T, phi)
@@ -190,6 +203,9 @@ def _cmd_invariant(args, out):
 
 
 def _cmd_suite(args, out):
+    from .cohomology import format_cochain
+    from .invariant import yb_invariant_suite
+    from .linalg import FieldSpec
     field = FieldSpec.from_name(args.field)
     T = _load_biquandle(args.biquandle, args.block_convention)
     if not T.is_valid:
@@ -251,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="enumerate all biquandles of an order")
     p.add_argument("n", type=int)
     p.add_argument("-o", "--output-dir", required=True)
-    p.add_argument("--limit", type=int, default=ENUMERATION_LIMIT,
+    p.add_argument("--limit", type=_positive_int,
                    help="largest order accepted")
     common(p)
     p.set_defaults(func=_cmd_enumerate)

@@ -37,16 +37,11 @@ relations the survivor completes.
 
 from __future__ import annotations
 
-from .core import Biquandle, compile_sides
+from .core import Biquandle, SearchLimitError, compile_sides
 from .gauss import GaussCode
 from .presentation import Gen, Presentation, knot_presentation, reduce_with_trace
-from .search import Engine
 
 CANDIDATE_LIMIT = 10 ** 8
-
-
-class SearchLimitError(RuntimeError):
-    pass
 
 
 def _stage(pres: Presentation, survivors):
@@ -177,6 +172,7 @@ def enumerate_colorings_oracle(code: GaussCode, T: Biquandle) -> list[tuple[int,
     semi-arc; a relation whose left side is fully assigned either forces
     its isolated generator or, if that is already assigned, must check out.
     """
+    from .search import Engine  # the module's only use of search
     pres = knot_presentation(code)
     n = T.n
     first = 4 * n * n  # slot of semi-arc 1, after the cells

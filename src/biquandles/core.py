@@ -72,6 +72,10 @@ class ParseError(ValueError):
         super().__init__(message + where)
 
 
+class SearchLimitError(RuntimeError):
+    """A coloring search over more candidate assignments than the cap."""
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of validate_biquandle: ok iff no axiom instance failed.

@@ -125,6 +125,15 @@ def test_cohomology_classify_and_export(run, data_dir, tmp_path):
     assert "field Q" in (outdir / "phi1.cyc").read_text()
 
 
+def test_cohomology_classify_parse_error_names_file(run, data_dir):
+    code = str(data_dir / "kishino.gauss")
+    rc, _, err = run("cohomology", "--biquandle", str(data_dir / "kishinoT.bq"),
+                     "--classify", code)
+    assert rc == 1
+    assert err == (f"error: {code}: expected 'field Q' or 'field Zp:<prime>' "
+                   "header (line 1)\n")
+
+
 def test_cohomology_mod_five(run, data_dir):
     rc, out, _ = run("cohomology", "--field", "Zp:5",
                      "--biquandle", str(data_dir / "kishinoT.bq"))
@@ -234,14 +243,14 @@ def test_colorings_checks_search_size_before_validating(run, data_dir, tmp_path)
 
 
 def test_colorings_reduces_once(run, data_dir, monkeypatch):
-    from biquandles import cli, coloring, presentation
+    from biquandles import coloring, presentation
     calls = []
     real = presentation.reduce_with_trace
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
-    for module in (cli, coloring, presentation):
+    for module in (coloring, presentation):
         monkeypatch.setattr(module, "reduce_with_trace", counted)
     rc, out, _ = run("colorings", "--show-presentation", "--count-only",
                      "--code", str(data_dir / "trefoil.gauss"),
@@ -257,6 +266,14 @@ def test_jobs_must_be_positive(run, data_dir, jobs):
                        "--biquandle", str(data_dir / "kishinoT.bq"))
     assert (rc, out) == (2, "")
     assert "--jobs" in err
+
+
+@pytest.mark.parametrize("limit", ["0", "-1", "two"])
+def test_enumerate_limit_must_be_positive(run, tmp_path, limit):
+    rc, out, err = run("enumerate", "2", "-o", str(tmp_path / "x"), "--limit", limit)
+    assert (rc, out) == (2, "")
+    assert "--limit" in err
+    assert not (tmp_path / "x").exists()
 
 
 # --- file errors -------------------------------------------------------------
@@ -327,6 +344,15 @@ def test_invariant_rejects_non_cocycle(run, data_dir, tmp_path):
     assert "not a cocycle" in err
 
 
+def test_invariant_cocycle_parse_error_names_file(run, data_dir):
+    table = str(data_dir / "kishinoT.bq")
+    rc, out, err = run("invariant", "--porcelain", "--code", str(data_dir / "kishino.gauss"),
+                       "--biquandle", table, "--cocycle", table)
+    message = f"{table}: expected 'field Q' or 'field Zp:<prime>' header (line 2)"
+    assert (rc, err) == (1, f"error: {message}\n")
+    assert json.loads(out) == {"error": message}
+
+
 def test_suite_values(run, data_dir):
     rc, out, _ = run("suite", "--code", str(data_dir / "kishino.gauss"),
                      "--biquandle", str(data_dir / "kishinoT.bq"))
@@ -366,3 +392,37 @@ def test_module_entry_point_deterministic(data_dir):
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.startswith("phi[1]: ")
+
+
+EVERYTHING_BUT_SEARCH = {"core", "gauss", "presentation", "coloring", "linalg",
+                         "cohomology", "invariant"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["validate", "--biquandle", "{data}/kishinoT.bq"], {"core"}),
+    (["alexander", "5", "2", "3"], {"core"}),
+    (["cohomology", "--field", "Zp:7", "--biquandle", "{data}/kishinoT.bq"],
+     {"core", "linalg", "cohomology"}),
+    (["colorings", "--count-only", "--code", "{data}/conway.gauss",
+      "--biquandle", "{data}/kishinoT.bq"],
+     {"core", "gauss", "presentation", "coloring"}),
+    (["suite", "--code", "{data}/kishino.gauss", "--biquandle", "{data}/kishinoT.bq"],
+     EVERYTHING_BUT_SEARCH),
+    (["invariant", "--code", "{data}/kishino.gauss", "--biquandle", "{data}/kishinoT.bq",
+      "--cocycle", "{data}/phi1.cyc"],
+     EVERYTHING_BUT_SEARCH),
+    (["enumerate", "2", "-o", "{tmp}/e2"], {"core", "search"}),
+], ids=["validate", "alexander", "cohomology", "colorings", "suite", "invariant",
+        "enumerate"])
+def test_subcommand_loads_only_its_modules(data_dir, tmp_path, argv, loaded):
+    # a fresh interpreter, since this one has imported every module
+    argv = [a.format(data=data_dir, tmp=tmp_path) for a in argv]
+    script = ("import sys, contextlib, io\n"
+              "from biquandles.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    rc = main({argv!r})\n"
+              "print(rc, sorted(m for m in sys.modules if m.startswith('biquandles.')))\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert done.stderr == ""
+    expected = sorted(f"biquandles.{m}" for m in loaded | {"cli"})
+    assert done.stdout == f"0 {expected}\n"
