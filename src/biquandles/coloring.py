@@ -14,10 +14,13 @@ can check the other:
   enumerate_colorings_oracle depth-first fill-and-propagate directly on the
                              unreduced presentation, on the constraint
                              engine of the search module, which the table
-                             search shares.  The reduced scan uses neither
-                             the engine nor core.compile_sides, so a fault
-                             in either shows up as a disagreement between
-                             the two.
+                             search shares, branching in an order read off
+                             the crossing relations alone (_branch_order).
+                             The reduced scan uses neither the engine nor
+                             core.compile_sides, and the oracle uses
+                             neither the reduction nor the scan's staging,
+                             so a fault in any of them shows up as a
+                             disagreement between the two.
 
 Both return colorings as tuples indexed by semi-arc (entry k-1 is the color
 of semi-arc k), sorted lexicographically.
@@ -164,13 +167,52 @@ def scan_reduction(T: Biquandle, pres: Presentation, survivors) -> list[tuple[in
     return found
 
 
+def _branch_order(pres: Presentation) -> list[int]:
+    """Every semi-arc, in the order the oracle comes to it.
+
+    Greedy on the crossing relations alone: next comes the blank semi-arc
+    whose assignment makes the largest forward closure, ties going to the
+    lowest; the closure is what the relations whose two inputs are known
+    then determine, transitively.  Each pick is followed by its closure,
+    in the order it is found, so a semi-arc that propagation fills comes
+    after the semi-arcs it is computed from.
+    """
+    inputs = {r.rhs: (r.lhs.left.index, r.lhs.right.index) for r in pres.relations}
+    readers: dict[int, list[int]] = {g: [] for g in pres.generators}
+    for s, (a, b) in inputs.items():
+        readers[a].append(s)
+        readers[b].append(s)
+    known: set[int] = set()
+
+    def closure(g: int) -> list[int]:
+        new = [g]
+        seen = {g}
+        for h in new:  # grows while it is walked
+            for s in readers[h]:
+                if s in known or s in seen:
+                    continue
+                a, b = inputs[s]
+                if (a in known or a in seen) and (b in known or b in seen):
+                    seen.add(s)
+                    new.append(s)
+        return new
+
+    order: list[int] = []
+    while len(order) < len(pres.generators):
+        best = max((closure(g) for g in pres.generators if g not in known), key=len)
+        order += best
+        known.update(best)
+    return order
+
+
 def enumerate_colorings_oracle(code: GaussCode, T: Biquandle) -> list[tuple[int, ...]]:
     """All colorings, via fill-and-propagate on the unreduced presentation.
 
     Runs on the search module's engine with the table cells as constants
-    and the semi-arcs as unknowns.  Branches on the lowest unassigned
-    semi-arc; a relation whose left side is fully assigned either forces
-    its isolated generator or, if that is already assigned, must check out.
+    and the semi-arcs as unknowns.  Branches on the first unassigned
+    semi-arc of _branch_order, so that the relations fire as early as they
+    can; a relation whose left side is fully assigned either forces its
+    isolated generator or, if that is already assigned, must check out.
     """
     from .search import Engine  # the module's only use of search
     pres = knot_presentation(code)
@@ -189,19 +231,21 @@ def enumerate_colorings_oracle(code: GaussCode, T: Biquandle) -> list[tuple[int,
     engine = Engine(n, cells + [0] * (arcs + scratch), sides)
     val = engine.val
     trail = engine.trail
+    order = [first + g - 1 for g in _branch_order(pres)]
     found: list[tuple[int, ...]] = []
 
-    def descend(a: int):
-        while a < arcs and val[first + a]:
-            a += 1
-        if a == arcs:
+    def descend(i: int):
+        while i < arcs and val[order[i]]:
+            i += 1
+        if i == arcs:
             found.append(tuple(val[first:first + arcs]))
             return
+        slot = order[i]
         for v in range(1, n + 1):
             mark = len(trail)
-            engine.assign(first + a, v)
+            engine.assign(slot, v)
             if engine.propagate():
-                descend(a + 1)
+                descend(i + 1)
             engine.undo(mark)
 
     if engine.start():

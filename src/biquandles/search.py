@@ -152,7 +152,7 @@ class Engine:
         while queue:
             for q in watch[queue.pop()]:
                 # evaluate side q into r (inlined, as is side q ^ 1 below:
-                # a call per side costs a fifth of the oracle's time)
+                # a call per side doubles the oracle's time on Conway)
                 steps, out = sides[q]
                 for o, x, y, t in steps:
                     u = val[x]

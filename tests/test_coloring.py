@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from biquandles import coloring
+from biquandles import coloring, presentation, search
 from biquandles.coloring import (SearchLimitError, counting_invariant,
                                  enumerate_colorings, enumerate_colorings_oracle,
                                  scan_reduction)
@@ -124,7 +124,8 @@ def test_strategies_agree_on_random_codes(kishino_T, random_code):
     # Any signed Gauss code is a virtual diagram, so seeded random codes
     # make test cases nobody picked by hand.
     rng = random.Random(20261018)
-    tables = [kishino_T, alexander_biquandle(3, 1, 2), alexander_biquandle(5, 2, 3)]
+    tables = [kishino_T] + [alexander_biquandle(n, s, t) for n, s, t in
+                            [(3, 1, 2), (4, 1, 3), (5, 2, 3), (7, 2, 3)]]
     for i in range(30):
         code = random_code(rng, rng.randint(2, 6), 1 + i % 3)
         for T in tables:
@@ -136,6 +137,56 @@ def test_strategies_agree_on_random_codes(kishino_T, random_code):
 def reference_tables(kishino_T):
     return [kishino_T] + [alexander_biquandle(n, s, t) for n, s, t in
                           [(3, 1, 2), (4, 1, 3), (5, 2, 3), (6, 1, 5), (7, 2, 3)]]
+
+
+def test_oracle_matches_scan_on_conway_across_tables(conway_code, kishino_T):
+    # Branching on the lowest blank semi-arc would take 9 s at order 5
+    # alone: semi-arcs are numbered along each strand, so the over-strand
+    # input of a crossing stays blank and its relations cannot fire.
+    for T in reference_tables(kishino_T):
+        assert enumerate_colorings_oracle(conway_code, T) == \
+            enumerate_colorings(conway_code, T), f"order {T.n}"
+
+
+def test_oracle_propagations_pinned(link_code, monkeypatch):
+    # Every Engine.propagate call, the one in start() included.  Branching
+    # on the lowest blank semi-arc would make 97,656 here, 5^0 + ... + 5^7:
+    # a full tree on 8 of the 14 semi-arcs with no pruning.
+    calls = 0
+    propagate = search.Engine.propagate
+
+    def counted(engine):
+        nonlocal calls
+        calls += 1
+        return propagate(engine)
+
+    monkeypatch.setattr(search.Engine, "propagate", counted)
+    assert len(enumerate_colorings_oracle(link_code, alexander_biquandle(5, 2, 3))) == 25
+    assert calls == 281
+
+
+def test_oracle_uses_neither_reduction_nor_scan(data_dir, kishino_T, monkeypatch):
+    # The oracle checks the reduction and the scan, so it must not run them.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran a part of the reduced scan")
+
+    for module, name in ((presentation, "reduce_with_trace"), (coloring, "reduce_with_trace"),
+                         (coloring, "_stage"), (coloring, "_scan")):
+        monkeypatch.setattr(module, name, refuse)
+    for name in SHIPPED_CODES:
+        code = parse_gauss_code((data_dir / f"{name}.gauss").read_text())
+        assert enumerate_colorings_oracle(code, kishino_T), name
+
+
+@pytest.mark.parametrize("text", ["0", "0,0", "-1,2,-3,1,-2,3,0,0", "0,-1,2,-3,1,-2,3,0"])
+def test_oracle_on_zero_crossing_components(kishino_T, text):
+    # A zero-crossing component's semi-arc is read by no relation, so no
+    # closure reaches it; the order must still pick it.
+    code = parse_gauss_code(text)
+    for T in (kishino_T, alexander_biquandle(3, 1, 2), alexander_biquandle(5, 2, 3)):
+        cols = enumerate_colorings_oracle(code, T)
+        assert cols == enumerate_colorings(code, T), f"order {T.n}"
+        assert all(0 not in c for c in cols), f"order {T.n}"
 
 
 @pytest.mark.parametrize("name", SHIPPED_CODES)
