@@ -10,8 +10,12 @@ Subcommands:
     suite       invariant values for a whole reduced basis
 
 Exit codes: 0 success, 1 domain error (invalid input data), 2 usage error.
-A domain error prints one "error:" line to stderr; with --porcelain it also
-prints {"error": "<message>"} as one JSON line to stdout.
+A domain error is a ValueError (a file that fails to parse, named in the
+message, or a table that fails validation), an OSError, a SearchLimitError
+or a RecursionError (a presentation word nested past the stack limit).  It
+prints one "error:" line to stderr; with --porcelain it also prints
+{"error": "<message>"} as one JSON line to stdout.  A warning prints as one
+"warning: <message>" line to stderr, when it is raised.
 All output is deterministic.  --jobs is accepted for compatibility and
 changes nothing: colorings run in one process.
 Each subcommand imports only the modules it uses, so start-up pays for no
@@ -24,12 +28,9 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
-from .core import BlockConvention, ParseError, SearchLimitError, read_biquandle
-
-
-class DomainError(Exception):
-    """Input parsed but failed a mathematical requirement."""
+from .core import BlockConvention, SearchLimitError, read_biquandle
 
 
 def _positive_int(text: str) -> int:
@@ -43,34 +44,14 @@ def _convention(text: str) -> BlockConvention:
     return BlockConvention.from_name(text)
 
 
-def _load_biquandle(path: str, convention: BlockConvention):
+def _load(path: str, parse, *args):
+    """parse(text, *args) on the file at path; a parse error names the file."""
     with open(path) as fh:
         text = fh.read()
     try:
-        T = read_biquandle(text, convention)
-    except ParseError as e:
-        raise DomainError(f"{path}: {e}")
-    return T
-
-
-def _load_code(path: str):
-    from .gauss import parse_gauss_code
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        return parse_gauss_code(text)
-    except ValueError as e:
-        raise DomainError(f"{path}: {e}")
-
-
-def _load_cochain(path: str, n: int):
-    from .cohomology import read_cochain
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        return read_cochain(text, n)
-    except ParseError as e:
-        raise DomainError(f"{path}: {e}")
+        return parse(text, *args)
+    except ValueError as e:  # a ParseError, or int()'s digit limit on a Gauss token
+        raise ValueError(f"{path}: {e}") from None
 
 
 def _write_presentation(pres, reduced, out):
@@ -90,7 +71,7 @@ def _print_presentation(code, out):
 
 
 def _cmd_validate(args, out):
-    T = _load_biquandle(args.biquandle, args.block_convention)
+    T = _load(args.biquandle, read_biquandle, args.block_convention)
     report = T.validation
     if args.porcelain:
         out.write(json.dumps({"ok": report.ok,
@@ -130,13 +111,13 @@ def _cmd_enumerate(args, out):
 
 
 def _cmd_cohomology(args, out):
-    from .cohomology import (classify_cochain, format_cochain,
+    from .cohomology import (classify_cochain, format_cochain, read_cochain,
                              reduced_cohomology_basis, write_cochain)
     from .linalg import FieldSpec
     field = FieldSpec.from_name(args.field)
-    T = _load_biquandle(args.biquandle, args.block_convention)
+    T = _load(args.biquandle, read_biquandle, args.block_convention)
     if not T.is_valid:
-        raise DomainError("biquandle fails validation")
+        raise ValueError("biquandle fails validation")
     basis = reduced_cohomology_basis(T, field)
     if args.porcelain:
         payload = {"field": field.name(), "dimension": len(basis),
@@ -149,7 +130,7 @@ def _cmd_cohomology(args, out):
         for k, phi in enumerate(basis, start=1):
             out.write(f"phi[{k}] = {format_cochain(phi)}\n")
     if args.classify:
-        phi = _load_cochain(args.classify, T.n)
+        phi = _load(args.classify, read_cochain, T.n)
         result = classify_cochain(T, phi)
         out.write(f"classification: {result.kind.value}"
                   f"{' (RI-reduced)' if result.ri_reduced else ''}\n")
@@ -163,15 +144,16 @@ def _cmd_cohomology(args, out):
 
 def _cmd_colorings(args, out):
     from .coloring import check_search_size, scan_reduction
+    from .gauss import parse_gauss_code
     from .presentation import knot_presentation, reduce_with_trace
-    T = _load_biquandle(args.biquandle, args.block_convention)
-    code = _load_code(args.code)
+    T = _load(args.biquandle, read_biquandle, args.block_convention)
+    code = _load(args.code, parse_gauss_code)
     pres = knot_presentation(code)
     reduced, _trace = reduce_with_trace(pres)
     # an oversized search fails at once, before validating a large table
     check_search_size(T.n, len(reduced.generators))
     if not T.is_valid:
-        raise DomainError("biquandle fails validation")
+        raise ValueError("biquandle fails validation")
     if args.show_presentation:
         _write_presentation(pres, reduced, out)
     cols = scan_reduction(T, pres, reduced.generators)
@@ -188,10 +170,12 @@ def _cmd_colorings(args, out):
 
 
 def _cmd_invariant(args, out):
+    from .cohomology import read_cochain
+    from .gauss import parse_gauss_code
     from .invariant import yb_invariant
-    T = _load_biquandle(args.biquandle, args.block_convention)
-    code = _load_code(args.code)
-    phi = _load_cochain(args.cocycle, T.n)
+    T = _load(args.biquandle, read_biquandle, args.block_convention)
+    code = _load(args.code, parse_gauss_code)
+    phi = _load(args.cocycle, read_cochain, T.n)
     if args.show_presentation:
         _print_presentation(code, out)
     value = yb_invariant(code, T, phi)
@@ -204,13 +188,14 @@ def _cmd_invariant(args, out):
 
 def _cmd_suite(args, out):
     from .cohomology import format_cochain
+    from .gauss import parse_gauss_code
     from .invariant import yb_invariant_suite
     from .linalg import FieldSpec
     field = FieldSpec.from_name(args.field)
-    T = _load_biquandle(args.biquandle, args.block_convention)
+    T = _load(args.biquandle, read_biquandle, args.block_convention)
     if not T.is_valid:
-        raise DomainError("biquandle fails validation")
-    code = _load_code(args.code)
+        raise ValueError("biquandle fails validation")
+    code = _load(args.code, parse_gauss_code)
     if args.show_presentation:
         _print_presentation(code, out)
     results = yb_invariant_suite(code, T, field)
@@ -296,6 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -303,14 +292,17 @@ def main(argv=None) -> int:
     except SystemExit as e:
         # argparse exits 2 on usage errors already; normalize others
         return int(e.code) if e.code else 0
-    try:
-        return args.func(args, sys.stdout)
-    except (DomainError, SearchLimitError, OSError, ValueError) as e:
-        # OSError: a missing file, a directory, an -o path under a file
-        print(f"error: {e}", file=sys.stderr)
-        if args.porcelain:
-            print(json.dumps({"error": str(e)}))
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args, sys.stdout)
+        except (SearchLimitError, OSError, ValueError, RecursionError) as e:
+            # OSError: a missing file, a directory, an -o path under a file;
+            # RecursionError: a presentation word nested past the stack limit
+            print(f"error: {e}", file=sys.stderr)
+            if args.porcelain:
+                print(json.dumps({"error": str(e)}))
+            return 1
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """End-to-end command-line behavior via main() plus the module entry point."""
 
 import json
+import random
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -351,6 +353,99 @@ def test_invariant_cocycle_parse_error_names_file(run, data_dir):
     message = f"{table}: expected 'field Q' or 'field Zp:<prime>' header (line 2)"
     assert (rc, err) == (1, f"error: {message}\n")
     assert json.loads(out) == {"error": message}
+
+
+@pytest.mark.parametrize("flag, given, message", [
+    ("--biquandle", "kishino.gauss",
+     "expected integer, got '1,-2-I,-1,2+I,3,-4-I,-3,4+I,0' (line 1, column 1)"),
+    ("--code", "phi1.cyc", "bad token 'field Q' (line 1, column 1)"),
+], ids=["biquandle", "code"])
+def test_invariant_parse_error_names_file(run, data_dir, flag, given, message):
+    argv = ["invariant", "--porcelain", "--code", str(data_dir / "kishino.gauss"),
+            "--biquandle", str(data_dir / "kishinoT.bq"),
+            "--cocycle", str(data_dir / "phi1.cyc")]
+    path = str(data_dir / given)
+    argv[argv.index(flag) + 1] = path
+    rc, out, err = run(*argv)
+    assert (rc, err) == (1, f"error: {path}: {message}\n")
+    assert json.loads(out) == {"error": f"{path}: {message}"} and out.count("\n") == 1
+
+
+def test_gauss_token_past_digit_limit_names_file(run, data_dir, tmp_path):
+    # int() refuses the token with a plain ValueError, not a ParseError
+    code = tmp_path / "long.gauss"
+    code.write_text("1" * 5000 + ",-1,0\n")
+    rc, out, err = run("colorings", "--code", str(code),
+                       "--biquandle", str(data_dir / "kishinoT.bq"))
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"error: {code}: Exceeds the limit") and err.count("\n") == 1
+
+
+def test_warning_prints_one_line(run, data_dir, tmp_path):
+    # a cocycle that is not RI-reduced: the invariant warns and still answers
+    phi = tmp_path / "f.cyc"
+    phi.write_text("field Q\n1 1 1\n2 4 1\n3 3 1\n4 2 1\n")
+    shown, filters = warnings.showwarning, list(warnings.filters)
+    rc, out, err = run("invariant", "--code", str(data_dir / "unknot.gauss"),
+                       "--biquandle", str(data_dir / "kishinoT.bq"), "--cocycle", str(phi))
+    assert (rc, out) == (0, "4\n")
+    assert err == ("warning: cocycle is not RI-reduced; the state sum may change "
+                   "under first Reidemeister moves\n")
+    assert (warnings.showwarning, warnings.filters) == (shown, filters)
+
+
+@pytest.mark.parametrize("command", ["invariant", "suite"])
+def test_recursion_error_is_one_line(run, data_dir, monkeypatch, command):
+    # after the reduction budget is spent, the (2,1001) torus knot's words
+    # nest past the stack limit in format_word; a fake stands in, since the
+    # real depth depends on how the reduction builds its words
+    from biquandles import presentation
+
+    def too_deep(pres):
+        warnings.warn("reduction stopped early")
+        raise RecursionError("maximum recursion depth exceeded")
+    monkeypatch.setattr(presentation, "format_presentation", too_deep)
+    argv = [command, "--porcelain", "--show-presentation",
+            "--code", str(data_dir / "trefoil.gauss"),
+            "--biquandle", str(data_dir / "kishinoT.bq")]
+    if command == "invariant":
+        argv += ["--cocycle", str(data_dir / "phi1.cyc")]
+    rc, out, err = run(*argv)
+    assert (rc, out) == (1, 'presentation:\n{"error": "maximum recursion depth exceeded"}\n')
+    assert err == "warning: reduction stopped early\nerror: maximum recursion depth exceeded\n"
+
+
+def _mutate(rng, text):
+    """Delete, insert or replace one character, or truncate."""
+    i = rng.randrange(len(text))
+    char = rng.choice("0123456789 -+I,#\n")
+    return rng.choice((text[:i] + text[i + 1:], text[:i] + char + text[i:],
+                       text[:i] + char + text[i + 1:], text[:i]))
+
+
+def test_malformed_input_never_escapes_main(run, data_dir, tmp_path):
+    rng = random.Random(14)
+    inputs = {"bq": "kishinoT.bq", "code": "kishino.gauss", "cyc": "phi1.cyc"}
+    exits = []
+    for key, name in inputs.items():
+        text = (data_dir / name).read_text()
+        for _ in range(40):
+            paths = {k: str(data_dir / v) for k, v in inputs.items()}
+            paths[key] = str(tmp_path / name)
+            (tmp_path / name).write_text(_mutate(rng, text))
+            runs = [("invariant", "--code", paths["code"], "--biquandle", paths["bq"],
+                     "--cocycle", paths["cyc"])]
+            if key != "code":
+                runs.append(("cohomology", "--biquandle", paths["bq"],
+                             "--classify", paths["cyc"]))
+            for argv in runs:
+                rc, _, err = run(*argv)
+                lines = err.splitlines()
+                assert all(line.startswith(("error: ", "warning: ")) for line in lines)
+                errors = sum(line.startswith("error: ") for line in lines)
+                assert (rc, errors) in ((0, 0), (1, 1)), (argv, err)
+                exits.append(rc)
+    assert 0 in exits and 1 in exits
 
 
 def test_suite_values(run, data_dir):
