@@ -14,8 +14,10 @@ A domain error is a ValueError (a file that fails to parse, named in the
 message, or a table that fails validation), an OSError, a SearchLimitError
 or a RecursionError (a presentation word nested past the stack limit).  It
 prints one "error:" line to stderr; with --porcelain it also prints
-{"error": "<message>"} as one JSON line to stdout.  A warning prints as one
-"warning: <message>" line to stderr, when it is raised.
+{"error": "<message>"} as its only line of stdout.  A warning prints as one
+"warning: <message>" line to stderr, when it is raised.  With --porcelain,
+--show-presentation adds "presentation" and "reduced" lists of lines to the
+JSON object (suite's list goes under "results").
 All output is deterministic.  --jobs is accepted for compatibility and
 changes nothing: colorings run in one process.
 Each subcommand imports only the modules it uses, so start-up pays for no
@@ -50,24 +52,27 @@ def _load(path: str, parse, *args):
         text = fh.read()
     try:
         return parse(text, *args)
-    except ValueError as e:  # a ParseError, or int()'s digit limit on a Gauss token
+    except ValueError as e:  # a ParseError
         raise ValueError(f"{path}: {e}") from None
 
 
-def _write_presentation(pres, reduced, out):
-    from .presentation import format_presentation
-    out.write("presentation:\n")
-    for line in format_presentation(pres).splitlines():
-        out.write("  " + line + "\n")
-    out.write(f"reduced ({len(reduced.generators)} generators):\n")
-    for line in format_presentation(reduced).splitlines():
-        out.write("  " + line + "\n")
-
-
-def _print_presentation(code, out):
-    from .presentation import knot_presentation, reduce_presentation
+def _show_presentation(args, out, code, reduced=None) -> dict:
+    """With --show-presentation, the presentation and its reduction: written
+    as text now, or with --porcelain returned for the JSON object."""
+    if not args.show_presentation:
+        return {}
+    from .presentation import format_presentation, knot_presentation, reduce_presentation
     pres = knot_presentation(code)
-    _write_presentation(pres, reduce_presentation(pres), out)
+    reduced = reduced or reduce_presentation(pres)
+    shown = {"presentation": format_presentation(pres).splitlines(),
+             "reduced": format_presentation(reduced).splitlines()}
+    if args.porcelain:
+        return shown
+    out.write("presentation:\n")
+    out.writelines(f"  {line}\n" for line in shown["presentation"])
+    out.write(f"reduced ({len(reduced.generators)} generators):\n")
+    out.writelines(f"  {line}\n" for line in shown["reduced"])
+    return {}
 
 
 def _cmd_validate(args, out):
@@ -145,20 +150,22 @@ def _cmd_cohomology(args, out):
 def _cmd_colorings(args, out):
     from .coloring import check_search_size, scan_reduction
     from .gauss import parse_gauss_code
-    from .presentation import knot_presentation, reduce_with_trace
+    from .presentation import eliminate, knot_presentation, reduce_presentation
     T = _load(args.biquandle, read_biquandle, args.block_convention)
     code = _load(args.code, parse_gauss_code)
     pres = knot_presentation(code)
-    reduced, _trace = reduce_with_trace(pres)
+    # the words are built only to be shown; the scan needs the survivors
+    reduced = reduce_presentation(pres) if args.show_presentation else None
+    kept = reduced.generators if reduced else eliminate(pres)[0]
     # an oversized search fails at once, before validating a large table
-    check_search_size(T.n, len(reduced.generators))
+    check_search_size(T.n, len(kept))
     if not T.is_valid:
         raise ValueError("biquandle fails validation")
-    if args.show_presentation:
-        _write_presentation(pres, reduced, out)
-    cols = scan_reduction(T, pres, reduced.generators)
+    shown = _show_presentation(args, out, code, reduced)
+    cols = scan_reduction(T, pres, kept)
     if args.porcelain:
-        out.write(json.dumps({"count": len(cols), "colorings": [list(c) for c in cols]}) + "\n")
+        out.write(json.dumps({**shown, "count": len(cols),
+                              "colorings": [list(c) for c in cols]}) + "\n")
         return 0
     if args.count_only:
         out.write(f"{len(cols)}\n")
@@ -176,11 +183,10 @@ def _cmd_invariant(args, out):
     T = _load(args.biquandle, read_biquandle, args.block_convention)
     code = _load(args.code, parse_gauss_code)
     phi = _load(args.cocycle, read_cochain, T.n)
-    if args.show_presentation:
-        _print_presentation(code, out)
+    shown = _show_presentation(args, out, code)
     value = yb_invariant(code, T, phi)
     if args.porcelain:
-        out.write(json.dumps({"terms": [[str(e), m] for e, m in value.terms]}) + "\n")
+        out.write(json.dumps({**shown, "terms": [[str(e), m] for e, m in value.terms]}) + "\n")
     else:
         out.write(str(value) + "\n")
     return 0
@@ -196,14 +202,14 @@ def _cmd_suite(args, out):
     if not T.is_valid:
         raise ValueError("biquandle fails validation")
     code = _load(args.code, parse_gauss_code)
-    if args.show_presentation:
-        _print_presentation(code, out)
+    shown = _show_presentation(args, out, code)
     results = yb_invariant_suite(code, T, field)
     if args.porcelain:
         payload = [{"cocycle": format_cochain(phi),
                     "terms": [[str(e), m] for e, m in ms.terms]}
                    for phi, ms in results]
-        out.write(json.dumps(payload) + "\n")
+        # with the presentation, the list goes into one object beside it
+        out.write(json.dumps({**shown, "results": payload} if shown else payload) + "\n")
     else:
         for k, (phi, ms) in enumerate(results, start=1):
             out.write(f"phi[{k}]: {ms}\n")

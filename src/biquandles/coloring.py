@@ -29,8 +29,9 @@ The scan is staged on the crossing relations themselves.  Tietze reduction
 eliminates a semi-arc only when its word no longer contains it, so the
 relations isolating the eliminated semi-arcs form no cycle: each of their
 colors is one table lookup of colors known before it.  The reduction only
-picks the survivors; its substituted words (Conway's five are 811 nodes)
-are never evaluated, since they repeat these same lookups.
+picks the survivors, and presentation.eliminate picks them on leaf counts
+without building a word: the substituted words (Conway's five are 811
+nodes) would only repeat these same lookups.
 Survivors are ordered greedily: next comes the one that completes the
 most survivor relations not yet complete, ties going to the lowest
 generator.  At each level the scan assigns that survivor, fills in by one
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from .core import Biquandle, SearchLimitError, compile_sides
 from .gauss import GaussCode
-from .presentation import Gen, Presentation, knot_presentation, reduce_with_trace
+from .presentation import Gen, Presentation, eliminate, knot_presentation
 
 CANDIDATE_LIMIT = 10 ** 8
 
@@ -154,8 +155,7 @@ def check_search_size(n: int, survivors: int) -> None:
 def enumerate_colorings(code: GaussCode, T: Biquandle) -> list[tuple[int, ...]]:
     """All colorings, via reduction plus a backtracking scan of the survivors."""
     pres = knot_presentation(code)
-    reduced, _trace = reduce_with_trace(pres)
-    return scan_reduction(T, pres, reduced.generators)
+    return scan_reduction(T, pres, eliminate(pres)[0])
 
 
 def scan_reduction(T: Biquandle, pres: Presentation, survivors) -> list[tuple[int, ...]]:

@@ -102,7 +102,10 @@ def parse_gauss_code(text: str) -> GaussCode:
         m = _TOKEN_RE.match(tok.replace(" ", ""))
         if not m:
             raise ParseError(f"bad token {tok!r}", line, col)
-        real = int(m.group(1))
+        try:
+            real = int(m.group(1))
+        except ValueError:  # past int()'s digit limit
+            raise ParseError(f"token of {len(tok)} characters is too long", line, col) from None
         imag = m.group(2)
         if real == 0:
             if imag or m.group(1) != "0":

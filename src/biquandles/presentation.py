@@ -11,12 +11,13 @@ relations, each with a single generator isolated on the right:
 (the barred operations carry a '-' in printed form).  Tietze reduction
 repeatedly eliminates a relation whose isolated generator does not occur on
 its other side, substituting the word for the generator everywhere.
+eliminate decides it on leaf counts alone, which is all the coloring scan
+needs; reduce_with_trace also builds the words, for callers that read them.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 
 from .core import Biquandle, OpKind
@@ -52,23 +53,20 @@ class Presentation:
     relations: tuple[Relation, ...]
 
 
+def _leaf_counts(w) -> dict[int, int]:
+    """{generator: occurrences} of a word, by an iterative walk."""
+    counts: dict[int, int] = {}
+    stack = [w]
+    while stack:
+        if isinstance(w := stack.pop(), Gen):
+            counts[w.index] = counts.get(w.index, 0) + 1
+        else:
+            stack += (w.left, w.right)
+    return counts
+
+
 def word_nodes(w) -> int:
-    if isinstance(w, Gen):
-        return 1
-    return 1 + word_nodes(w.left) + word_nodes(w.right)
-
-
-def _leaf_counts(w) -> Counter:
-    if isinstance(w, Gen):
-        return Counter((w.index,))
-    return _leaf_counts(w.left) + _leaf_counts(w.right)
-
-
-def substitute(w, gen: int, replacement):
-    if isinstance(w, Gen):
-        return replacement if w.index == gen else w
-    return OpWord(w.kind, substitute(w.left, gen, replacement),
-                  substitute(w.right, gen, replacement))
+    return 2 * sum(_leaf_counts(w).values()) - 1  # a binary tree of L leaves
 
 
 def eval_word(w, T: Biquandle, assignment: dict[int, int]) -> int:
@@ -127,59 +125,88 @@ def knot_presentation(code: GaussCode) -> Presentation:
 NODE_BUDGET = 10 ** 6
 
 
-def reduce_with_trace(p: Presentation, max_nodes: int = NODE_BUDGET
-                      ) -> tuple[Presentation, list[tuple[int, "Word"]]]:
-    """Tietze reduction; returns the reduced presentation and the list of
-    (eliminated generator, substituted word) in elimination order.
+def eliminate(p: Presentation, max_nodes: int = NODE_BUDGET
+              ) -> tuple[tuple[int, ...], list[int]]:
+    """Tietze reduction on leaf counts alone; returns (survivors, the
+    eliminated generators in order).
 
-    Each round scans the relations in their listed order and eliminates the
-    first one whose isolated generator does not occur in its word.  (On knot
-    presentations, listed order means ascending incoming semi-arc; this order
-    reproduces published reductions.)  Each eliminated generator's word
-    involves only generators that survive longer, so colorings extend by
-    replaying the trace in reverse.  If total word size exceeds max_nodes,
-    reduction stops early with a warning and the partially reduced
-    presentation is returned.
-
-    Eliminations are decided on leaf counts, not by walking the words: each
-    relation keeps {generator: occurrences in its word}.  Substituting the
-    word of g for its k occurrences adds k times that word's counts, and a
-    word of L leaves has 2L - 1 nodes, so the budget is checked exactly.
-    Only the words that hold g are rebuilt.
+    Each round eliminates the first relation, in listed order, whose
+    isolated generator does not occur in its word.  (On knot presentations,
+    listed order means ascending incoming semi-arc; this order reproduces
+    published reductions.)  Substituting the word of g for its k
+    occurrences adds k times g's counts, and a word of L leaves has 2L - 1
+    nodes.  If total word size exceeds max_nodes, it stops with a warning.
     """
-    rhs_seen = [r.rhs for r in p.relations]
-    if len(set(rhs_seen)) != len(rhs_seen):
-        raise ValueError("isolated generators must be distinct")
-
-    relations = {r.rhs: r.lhs for r in p.relations}
     leaves = {r.rhs: _leaf_counts(r.lhs) for r in p.relations}
-    total = sum(2 * c.total() - 1 for c in leaves.values())
-    alive = set(p.generators)
-    trace: list[tuple[int, Word]] = []
-    while True:
-        g = next((g for g, c in leaves.items() if g not in c), None)
-        if g is None:
-            break
-        word, sub = relations.pop(g), leaves.pop(g)
-        alive.discard(g)
-        trace.append((g, word))
-        size = sub.total()
+    if len(leaves) != len(p.relations):
+        raise ValueError("isolated generators must be distinct")
+    total = sum(2 * sum(c.values()) - 1 for c in leaves.values())
+    order: list[int] = []
+    while (g := next((g for g, c in leaves.items() if g not in c), None)) is not None:
+        sub = leaves.pop(g)
+        order.append(g)
+        size = sum(sub.values())
         total -= 2 * size - 1
-        for rhs, c in leaves.items():
-            k = c.pop(g, 0)
-            if k:
-                relations[rhs] = substitute(relations[rhs], g, word)
+        for c in leaves.values():
+            if k := c.pop(g, 0):
                 for h, m in sub.items():
-                    c[h] += k * m
+                    c[h] = c.get(h, 0) + k * m
                 total += 2 * k * (size - 1)
         if total > max_nodes:
             warnings.warn(f"reduction stopped early: {total} word nodes exceeds "
                           f"budget {max_nodes}")
             break
+    gone = set(order)
+    return tuple(g for g in p.generators if g not in gone), order
 
-    generators = tuple(g for g in p.generators if g in alive)
-    rels = tuple(Relation(lhs, rhs) for rhs, lhs in sorted(relations.items()))
-    return Presentation(generators, rels), trace
+
+def reduce_with_trace(p: Presentation, max_nodes: int = NODE_BUDGET
+                      ) -> tuple[Presentation, list[tuple[int, "Word"]]]:
+    """Tietze reduction; returns the reduced presentation and the list of
+    (eliminated generator, substituted word) in elimination order.
+
+    Each eliminated generator's word involves only generators that survive
+    longer, so colorings extend by replaying the trace in reverse.  The
+    words, from eliminate's order, share subwords as one DAG: each is its
+    original left side with eliminated generators read as their words as
+    of that step, rebuilt only when read after a generator it reaches is
+    eliminated, and nothing recurses along chains.
+    """
+    kept, order = eliminate(p, max_nodes)
+    lhs = {r.rhs: r.lhs for r in p.relations}
+    reads = {g: _leaf_counts(w) for g, w in lhs.items()}
+    word: dict[int, Word] = {}  # each eliminated generator's word
+    users: dict[int, list[int]] = {}  # h -> eliminated generators whose relation reads h
+    stale: set[int] = set()  # eliminated generators whose word changed since it was built
+
+    def build(w):
+        if isinstance(w, Gen):
+            return word.get(w.index, w)
+        return OpWord(w.kind, build(w.left), build(w.right))
+
+    def current(g):  # the word of g's relation as of now
+        stack = [g]
+        while stack:
+            todo = [h for h in reads[stack[-1]] if h in stale]
+            stack += todo
+            if not todo and (h := stack.pop()) in stale:
+                stale.remove(h)
+                word[h] = build(lhs[h])
+        return build(lhs[g])
+
+    trace: list[tuple[int, Word]] = []
+    for g in order:
+        word[g] = current(g)
+        trace.append((g, word[g]))
+        for h in reads[g]:
+            users.setdefault(h, []).append(g)
+        stack = list(users.get(g, ()))
+        while stack:
+            if (h := stack.pop()) not in stale:
+                stale.add(h)
+                stack += users.get(h, ())
+    rels = tuple(Relation(current(g), g) for g in sorted(lhs) if g not in word)
+    return Presentation(kept, rels), trace
 
 
 def reduce_presentation(p: Presentation, max_nodes: int = NODE_BUDGET) -> Presentation:

@@ -213,6 +213,26 @@ def test_colorings_show_presentation(run, data_dir):
     assert lines[-1] == "4"
 
 
+@pytest.mark.parametrize("command", ["colorings", "invariant", "suite"])
+def test_porcelain_show_presentation_is_one_document(run, data_dir, command):
+    # the presentation goes into the JSON object, as lists of lines
+    argv = [command, "--code", str(data_dir / "trefoil.gauss"),
+            "--biquandle", str(data_dir / "kishinoT.bq")]
+    if command == "invariant":
+        argv += ["--cocycle", str(data_dir / "phi1.cyc")]
+    rc, plain, _ = run(*argv, "--show-presentation")
+    rc2, bare, _ = run(*argv, "--porcelain")
+    rc3, out, _ = run(*argv, "--porcelain", "--show-presentation")
+    assert (rc, rc2, rc3) == (0, 0, 0) and out.count("\n") == 1
+    doc = json.loads(out)
+    shown = {k: doc.pop(k) for k in ("presentation", "reduced")}
+    indented = {k: "".join(f"  {line}\n" for line in v) for k, v in shown.items()}
+    assert plain.startswith("presentation:\n" + indented["presentation"]
+                            + "reduced (2 generators):\n" + indented["reduced"])
+    assert shown["reduced"][0] == "generators: 1,4"
+    assert doc == (json.loads(bare) if command != "suite" else {"results": json.loads(bare)})
+
+
 def test_colorings_search_too_large(run, data_dir, tmp_path):
     big = tmp_path / "a50.bq"
     big.write_text(write_biquandle(alexander_biquandle(50, 3, 7)))
@@ -247,13 +267,13 @@ def test_colorings_checks_search_size_before_validating(run, data_dir, tmp_path)
 def test_colorings_reduces_once(run, data_dir, monkeypatch):
     from biquandles import coloring, presentation
     calls = []
-    real = presentation.reduce_with_trace
+    real = presentation.eliminate
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
     for module in (coloring, presentation):
-        monkeypatch.setattr(module, "reduce_with_trace", counted)
+        monkeypatch.setattr(module, "eliminate", counted)
     rc, out, _ = run("colorings", "--show-presentation", "--count-only",
                      "--code", str(data_dir / "trefoil.gauss"),
                      "--biquandle", str(data_dir / "kishinoT.bq"))
@@ -372,13 +392,13 @@ def test_invariant_parse_error_names_file(run, data_dir, flag, given, message):
 
 
 def test_gauss_token_past_digit_limit_names_file(run, data_dir, tmp_path):
-    # int() refuses the token with a plain ValueError, not a ParseError
+    # int() refuses a token past its digit limit; the parser names where
     code = tmp_path / "long.gauss"
-    code.write_text("1" * 5000 + ",-1,0\n")
+    code.write_text("2,-2,\n " + "1" * 5000 + ",-1,0\n")
     rc, out, err = run("colorings", "--code", str(code),
                        "--biquandle", str(data_dir / "kishinoT.bq"))
     assert (rc, out) == (1, "")
-    assert err.startswith(f"error: {code}: Exceeds the limit") and err.count("\n") == 1
+    assert err == f"error: {code}: token of 5000 characters is too long (line 2, column 2)\n"
 
 
 def test_warning_prints_one_line(run, data_dir, tmp_path):
@@ -411,7 +431,7 @@ def test_recursion_error_is_one_line(run, data_dir, monkeypatch, command):
     if command == "invariant":
         argv += ["--cocycle", str(data_dir / "phi1.cyc")]
     rc, out, err = run(*argv)
-    assert (rc, out) == (1, 'presentation:\n{"error": "maximum recursion depth exceeded"}\n')
+    assert (rc, out) == (1, '{"error": "maximum recursion depth exceeded"}\n')
     assert err == "warning: reduction stopped early\nerror: maximum recursion depth exceeded\n"
 
 

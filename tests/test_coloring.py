@@ -170,7 +170,7 @@ def test_oracle_uses_neither_reduction_nor_scan(data_dir, kishino_T, monkeypatch
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle ran a part of the reduced scan")
 
-    for module, name in ((presentation, "reduce_with_trace"), (coloring, "reduce_with_trace"),
+    for module, name in ((presentation, "eliminate"), (coloring, "eliminate"),
                          (coloring, "_stage"), (coloring, "_scan")):
         monkeypatch.setattr(module, name, refuse)
     for name in SHIPPED_CODES:

@@ -6,10 +6,11 @@ import pytest
 from biquandles.core import OpKind, alexander_biquandle
 from biquandles.gauss import parse_gauss_code
 from biquandles.presentation import (NODE_BUDGET, Gen, OpWord, Presentation,
-                                     Relation, eval_word, format_presentation,
-                                     format_relation, format_word,
-                                     knot_presentation, reduce_presentation,
-                                     reduce_with_trace, substitute, word_nodes)
+                                     Relation, eliminate, eval_word,
+                                     format_presentation, format_relation,
+                                     format_word, knot_presentation,
+                                     reduce_presentation, reduce_with_trace,
+                                     word_nodes)
 
 # the 22 crossing relations of an 11-crossing virtual knot diagram,
 # two per crossing, one per semi-arc
@@ -27,6 +28,13 @@ CONWAY_RELATIONS = [
 # to find the first eliminable relation, substitutes into every word, and
 # walks them all again to count nodes.  reduce_with_trace must return equal
 # presentations and traces and warn with the same messages.
+
+
+def substitute(w, gen: int, replacement):
+    if isinstance(w, Gen):
+        return replacement if w.index == gen else w
+    return OpWord(w.kind, substitute(w.left, gen, replacement),
+                  substitute(w.right, gen, replacement))
 
 
 def word_generators(w) -> set[int]:
@@ -101,6 +109,57 @@ def test_reduction_matches_tree_walk_on_bare_generators():
     assert [g for g, _w in trace] == [5, 2, 1]
     assert reduced.generators == (3, 4)
     assert [format_relation(r) for r in reduced.relations] == ["3=3", "4_((4^-4)^4)=4"]
+
+
+def torus_code(n: int):
+    """The (2, n) torus knot, n odd: n crossings passed over, under, over..."""
+    return parse_gauss_code(",".join(f"{'-' * (i % 2)}{i % n + 1}" for i in range(2 * n)) + ",0")
+
+
+def _survivors(pres, budget):
+    return eliminate(pres, budget)[0]
+
+
+def test_eliminate_gives_the_reductions_survivors(random_code):
+    # eliminate alone must stop where the reduction stops, with its warning
+    rng = random.Random(20261019)
+    codes = [random_code(rng, rng.randint(2, 24), rng.randint(1, 3)) for _ in range(16)]
+    codes += [torus_code(n) for n in (101, 301, 601, 901)]
+    for i, code in enumerate(codes):
+        pres = knot_presentation(code)
+        for budget in BUDGETS:
+            (reduced, _trace), caught = _with_warnings(reduce_with_trace, pres, budget)
+            assert _with_warnings(_survivors, pres, budget) == (reduced.generators, caught), \
+                f"code {i}, budget {budget}"
+
+
+def test_reduction_builds_each_word_once(random_code, monkeypatch):
+    # This knot's reduction stops at its budget with words of 1,186,571
+    # nodes as trees; substituting tree into tree built 3,443,559 OpWords.
+    pres = knot_presentation(random_code(random.Random(5), 150, 1))
+    built = 0
+    init = OpWord.__init__
+
+    def counted(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+    monkeypatch.setattr(OpWord, "__init__", counted)
+    with pytest.warns(UserWarning, match="1186571 word nodes"):
+        kept = _survivors(pres, NODE_BUDGET)
+    assert (len(kept), built) == (93, 0)
+    with pytest.warns(UserWarning, match="1186571 word nodes"):
+        reduced = reduce_presentation(pres)
+    assert reduced.generators == kept
+    assert built == 588 < 20_000
+
+
+def test_long_chains_reduce_without_recursion():
+    # T(2,1001)'s words nest about a thousand deep: the words are built
+    # without recursing along them
+    with pytest.warns(UserWarning, match="stopped early"):
+        reduced, trace = reduce_with_trace(knot_presentation(torus_code(1001)))
+    assert (len(reduced.generators), len(trace)) == (1005, 997)
 
 
 def test_trefoil_relations(trefoil_code):
