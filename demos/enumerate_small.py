@@ -1,14 +1,14 @@
 """Census of small biquandles.
 
 Enumerates every biquandle on 1, 2, and 3 elements by constraint
-propagation, then shows how the blank-cell ratings that guide the search
-evolve as a table fills in.
+propagation, then shows how many axiom sides wait on a blank cell, the
+count the search branches on, as a table fills in.
 
 Run from the repository root:  python3 demos/enumerate_small.py
 """
 
 from biquandles.core import OpKind, write_biquandle
-from biquandles.search import PartialBiquandle, enumerate_biquandles, propagate, rate_zero
+from biquandles.search import PartialBiquandle, enumerate_biquandles, propagate, waiting
 
 
 def main():
@@ -27,11 +27,14 @@ def main():
     print("\nhow constrained is a blank cell?")
     P = PartialBiquandle.blank(2)
     cell = (OpKind.UP, 1, 1)
-    print(f"  empty 2x2 tables: cell UP[1,1] is readable by"
-          f" {rate_zero(P, cell)} axiom instances")
+    counts = waiting(P)
+    print(f"  empty 2x2 tables: {counts[cell]} axiom sides wait on cell UP[1,1]"
+          f" (the most on any cell: {max(counts.values())})")
     P.set((OpKind.DOWN, 1, 1), 1)
     P.set((OpKind.DOWN, 2, 2), 2)
-    print(f"  after fixing DOWN[1,1] = 1 and DOWN[2,2] = 2: {rate_zero(P, cell)}")
+    counts = waiting(P)
+    print(f"  after fixing DOWN[1,1] = 1 and DOWN[2,2] = 2: {counts[cell]}"
+          f" (the most on any cell: {max(counts.values())})")
 
     P.set(cell, 1)
     forced = propagate(P)

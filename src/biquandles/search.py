@@ -23,13 +23,13 @@ Two searches run on it:
                      cells are known constants, the semi-arcs the unknowns,
                      and the crossing relations the equations.
 
-The table search branches on the blank cell with the highest rating, ties
-to the lowest (table, row, column).  A cell's rating is the number of axiom
-instances that could read it under some completion; each instance's set of
-possible reads is kept between nodes and recomputed only when a cell in it
-is filled, since filling other cells cannot change it.  A node copies the
-reads and ratings before branching and restores them from that copy after
-each child, so backtracking needs no second trail.
+The table search branches on the blank cell with the most sides waiting on
+it, ties to the lowest (table, row, column).  At a propagated node every
+incomplete side sits in the watch list of exactly one blank cell, the
+first blank it reads, so that count is the length of the cell's watch
+list: the engine keeps it for free, and backtracking restores it with the
+watch entries (the most-constrained-variable rule of Haralick & Elliott,
+Artif. Intell. 14 (1980)).
 """
 
 from __future__ import annotations
@@ -246,22 +246,10 @@ def _axiom_sides(n: int):
     return compile_sides(equations, n, first_constant + n)
 
 
-def _bits(mask: int):
-    """Positions of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class TableSearch(Engine):
-    """Every valid completion of a partial table, by propagation, ratings
-    and branching; run() returns them, and nodes counts the propagations
-    (the root and one per branch tried).
-
-    Sets of cells are int bitmasks over cell slots, and sets of values
-    bitmasks over 1..n.
-    """
+    """Every valid completion of a partial table, by propagation and
+    branching on the most-watched blank cell; run() returns them, and
+    nodes counts the propagations (the root and one per branch tried)."""
 
     def __init__(self, P: PartialBiquandle):
         n = P.n
@@ -269,136 +257,43 @@ class TableSearch(Engine):
         values = [v for t in P.tables for row in t for v in row]
         super().__init__(n, values + list(range(1, n + 1)) + [0] * scratch, sides)
         self.cells = len(values)
-        # while rating, a scratch slot with several possible values holds
-        # 0 and its values are in poss
-        self.poss: list = [None] * len(self.val)
-        self.members = [tuple(v for v in range(1, n + 1) if m >> v & 1)
-                        for m in range(2 << n)]
-        self.full = self.members[-2]  # the mask with bits 1..n
         self.nodes = 0
         self.found: list[Biquandle] = []
-        # ratings: each instance's reads, the instances that read each cell
-        # at the root, and the number that read it now
-        self.reads: list[int] = []
-        self.readers: list[list[int]] = []
-        self.rating: list[int] = []
-
-    def _reads(self, e: int) -> int:
-        """Mask of the blank cells that instance e might read under some
-        completion.  A step's possible values are the filled cells it may
-        read, or every element once it may read a blank one."""
-        val = self.val
-        n = self.n
-        poss = self.poss
-        full = self.full
-        reads = 0
-        for q in (2 * e, 2 * e + 1):
-            for o, x, y, t in self.sides[q][0]:
-                u = val[x]
-                v = val[y]
-                if u and v:
-                    c = o + u * n + v
-                    w = val[c]
-                    if w:
-                        val[t] = w
-                    else:
-                        reads |= 1 << c
-                        val[t] = 0
-                        poss[t] = full
-                    continue
-                found = 0
-                hit = False
-                vs = (v,) if v else poss[y]
-                for u in ((u,) if u else poss[x]):
-                    base = o + u * n
-                    for v in vs:
-                        w = val[base + v]
-                        if w:
-                            found |= 1 << w
-                        else:
-                            reads |= 1 << (base + v)
-                            hit = True
-                if hit:
-                    val[t] = 0
-                    poss[t] = full
-                elif found & (found - 1):
-                    val[t] = 0
-                    poss[t] = self.members[found]
-                else:
-                    val[t] = found.bit_length() - 1
-        return reads
 
     def run(self) -> list[Biquandle]:
         """All valid completions, sorted by serialized matrix."""
         self.nodes = 1
         if self.start():
-            self._rate_root()
-            self._descend(len(self.trail))
+            self._descend()
         self.found.sort(key=write_biquandle)
         return self.found
 
-    def _rate_root(self) -> None:
-        self.reads = [self._reads(e) for e in range(len(self.sides) // 2)]
-        self.readers = [[] for _ in range(self.cells)]
-        self.rating = [0] * self.cells
-        for e, mask in enumerate(self.reads):
-            for c in _bits(mask):
-                self.readers[c].append(e)
-                self.rating[c] += 1
-
-    def _rerate(self, mark: int) -> None:
-        """Update the ratings for the cells assigned since trail mark."""
-        reads = self.reads
-        readers = self.readers
-        dirty = set()
-        for s in self.trail[mark:]:
-            if s >= 0:
-                b = 1 << s
-                for e in readers[s]:
-                    if reads[e] & b:
-                        dirty.add(e)
-        rating = self.rating
-        for e in dirty:
-            old = reads[e]
-            reads[e] = new = self._reads(e)
-            gone = old ^ new
-            while gone:  # _bits(gone), inlined
-                low = gone & -gone
-                rating[low.bit_length() - 1] -= 1
-                gone ^= low
-
-    def _descend(self, mark: int) -> None:
-        """Search below a propagated node whose ratings are current up to
-        trail mark."""
-        val = self.val
-        if 0 not in val[:self.cells]:
+    def _descend(self) -> None:
+        """Search below a propagated node."""
+        if 0 not in self.val[:self.cells]:
             T = self.to_biquandle()
             if not existential_failures(T):
                 self.found.append(T)
             return
-        self._rerate(mark)
         cell = self._branch_cell()
-        reads = self.reads[:]
-        rating = self.rating[:]
         for v in range(1, self.n + 1):
             mark = len(self.trail)
             self.nodes += 1
             self.assign(cell, v)
             if self.propagate():
-                self._descend(mark)
-                self.reads[:] = reads
-                self.rating[:] = rating
+                self._descend()
             self.undo(mark)
 
     def _branch_cell(self) -> int:
-        """The blank cell with the highest rating, ties to the lowest."""
+        """The blank cell with the most sides waiting on it, ties to the
+        lowest."""
         val = self.val
-        rating = self.rating
+        watch = self.watch
         cell = -1
         top = -1
         for c in range(self.cells):
-            if not val[c] and rating[c] > top:
-                top = rating[c]
+            if not val[c] and len(watch[c]) > top:
+                top = len(watch[c])
                 cell = c
         return cell
 
@@ -428,25 +323,17 @@ def propagate(P: PartialBiquandle):
     return search.to_partial()
 
 
-def ratings(P: PartialBiquandle) -> dict[Cell, int]:
-    """Each blank cell's rating: the number of axiom instances that might
-    read it under some completion.
-
-    Monotone non-increasing as other cells get filled: completions only
-    shrink each instance's set of possibly-read blanks.
-    """
+def waiting(P: PartialBiquandle):
+    """Each blank cell of propagate(P), with the number of axiom sides
+    waiting on it: the sides whose first blank read, in step order, is
+    that cell.  The table search branches on the cell with the most.
+    CONTRADICTION when propagation finds one."""
     search = TableSearch(P)
-    search._rate_root()
+    if not search.start():
+        return CONTRADICTION
     n = P.n
     cells = itertools.product(OpKind, range(1, n + 1), range(1, n + 1))
-    return {c: r for c, v, r in zip(cells, search.val, search.rating) if not v}
-
-
-def rate_zero(P: PartialBiquandle, cell: Cell) -> int:
-    """The rating of one blank cell; see ratings."""
-    if P.get(cell) != 0:
-        raise ValueError(f"cell {cell} is not blank")
-    return ratings(P)[cell]
+    return {c: len(w) for c, v, w in zip(cells, search.val, search.watch) if not v}
 
 
 def complete_partial(P: PartialBiquandle) -> list[Biquandle]:

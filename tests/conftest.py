@@ -85,10 +85,10 @@ class LeafSearch(TableSearch):
         super().__init__(P)
         self.leaves = []
 
-    def _descend(self, mark):
+    def _descend(self):
         if 0 not in self.val[:self.cells]:
             self.leaves.append(self.to_biquandle())
-        super()._descend(mark)
+        super()._descend()
 
 
 def _finished_blank_search(n: int) -> LeafSearch:
@@ -100,8 +100,8 @@ def _finished_blank_search(n: int) -> LeafSearch:
 @pytest.fixture(scope="session")
 def blank_search():
     """blank_search(n): a finished LeafSearch of the blank order-n table,
-    run once per order for the whole session (order 3 takes about a
-    second).  Its found, leaves and nodes are shared, so read only."""
+    run once per order for the whole session (order 4 takes about ten
+    seconds).  Its found, leaves and nodes are shared, so read only."""
     return functools.cache(_finished_blank_search)
 
 

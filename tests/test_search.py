@@ -1,4 +1,4 @@
-"""Enumeration by propagation: ratings, forced fills, and full searches."""
+"""Enumeration by propagation: forced fills, waiting counts, and full searches."""
 
 import itertools
 import math
@@ -10,7 +10,7 @@ from biquandles.core import (Biquandle, OpKind, alexander_biquandle,
                              validate_biquandle, write_biquandle)
 from biquandles.search import (CONTRADICTION, PartialBiquandle, TableSearch,
                                axiom_instances, complete_partial,
-                               enumerate_biquandles, propagate, rate_zero, ratings)
+                               enumerate_biquandles, propagate, waiting)
 
 
 def all_cells(n):
@@ -20,48 +20,29 @@ def all_cells(n):
 
 # --- the full-sweep reference ------------------------------------------------
 #
-# Propagation and ratings as they were computed before the compiled engine:
-# every axiom instance's expression trees are walked again, to a fixpoint,
-# on every call.  The engine must agree with them exactly.
+# Propagation as it was computed before the compiled engine, and the
+# waiting counts the same way: every axiom instance's expression trees are
+# walked again, to a fixpoint, on every call.  The engine must agree with
+# them exactly.
 
 
 def _eval_partial(P, expr, vals):
-    """Evaluate bottom-up; returns ('val', v), ('blank', cell) when only the
-    outermost cell is blank, or ('deep', None) when an inner read blocked."""
+    """Evaluate bottom-up, left then right; returns ('val', v), ('blank',
+    cell) when only the outermost cell is blank, or ('deep', cell) when an
+    inner read blocked first, at the blank cell."""
     if isinstance(expr, int):
         return "val", vals[expr]
     kind, left, right = expr
     lk, lv = _eval_partial(P, left, vals)
+    if lk != "val":
+        return "deep", lv
     rk, rv = _eval_partial(P, right, vals)
-    if lk != "val" or rk != "val":
-        return "deep", None
+    if rk != "val":
+        return "deep", rv
     v = P.tables[kind][lv - 1][rv - 1]
     if v == 0:
         return "blank", (OpKind(kind), lv, rv)
     return "val", v
-
-
-def _possible_reads(P, expr, vals):
-    """(possible values, blank cells possibly read) under any completion."""
-    if isinstance(expr, int):
-        return {vals[expr]}, set()
-    kind, left, right = expr
-    lvals, lblanks = _possible_reads(P, left, vals)
-    rvals, rblanks = _possible_reads(P, right, vals)
-    blanks = lblanks | rblanks
-    values = set()
-    hit_blank = False
-    for u in lvals:
-        for v in rvals:
-            w = P.tables[kind][u - 1][v - 1]
-            if w == 0:
-                blanks.add((OpKind(kind), u, v))
-                hit_blank = True
-            else:
-                values.add(w)
-    if hit_blank:
-        values.update(range(1, P.n + 1))
-    return values, blanks
 
 
 def reference_propagate(P):
@@ -85,13 +66,15 @@ def reference_propagate(P):
     return P
 
 
-def reference_ratings(P):
+def reference_waiting(P):
+    """Each blank cell of P with the number of sides whose first blank
+    read, in compile_sides' step order, is that cell."""
     counts = {c: 0 for c in P.blanks()}
     for _eq_id, lhs, rhs, vals in axiom_instances(P.n):
-        _lv, lb = _possible_reads(P, lhs, vals)
-        _rv, rb = _possible_reads(P, rhs, vals)
-        for c in lb | rb:
-            counts[c] += 1
+        for side in (lhs, rhs):
+            kind, cell = _eval_partial(P, side, vals)
+            if kind != "val":
+                counts[cell] += 1
     return counts
 
 
@@ -131,20 +114,13 @@ def test_engine_matches_full_sweep(kishino_T, name, params, count):
         if expected is CONTRADICTION:
             contradictions += 1
             assert got is CONTRADICTION
+            assert waiting(P) is CONTRADICTION
         else:
             assert got is not CONTRADICTION and got.tables == expected.tables
-        assert ratings(P) == reference_ratings(P)
-        assert P == before, "propagate and ratings must not touch their input"
+            assert waiting(P) == reference_waiting(expected)
+        assert P == before, "propagate and waiting must not touch their input"
     if T.n > 2:
         assert contradictions, "the sample should reach a contradiction"
-
-
-def test_rate_zero_matches_full_sweep(kishino_T):
-    rng = random.Random(3)
-    for P in random_partials(kishino_T, rng, 6):
-        expected = reference_ratings(P)
-        for cell in rng.sample(P.blanks(), min(5, len(P.blanks()))):
-            assert rate_zero(P, cell) == expected[cell]
 
 
 def slot(n, cell):
@@ -153,37 +129,44 @@ def slot(n, cell):
 
 
 def test_branch_cell_matches_full_sweep(kishino_T):
-    # Highest rating, ties to the lowest (table, row, column).
-    rng = random.Random(8)
+    # Most sides waiting, ties to the lowest (table, row, column).
     checked = 0
-    for T in (kishino_T, alexander_biquandle(3, 1, 2), alexander_biquandle(5, 2, 3)):
-        for P in random_partials(T, rng, 12):
+    for name, params, count in DIFFERENTIAL_TABLES:
+        T = kishino_T if params is None else alexander_biquandle(*params)
+        rng = random.Random(f"branch {name}")
+        for P in random_partials(T, rng, count):
             search = TableSearch(P)
             if not search.start():
                 continue
             Q = reference_propagate(P)
-            search._rate_root()
             if Q.is_complete():
                 assert search._branch_cell() == -1
                 continue
-            ratings = reference_ratings(Q)
-            best = max(ratings, key=lambda c: (ratings[c], [-x for x in c]))
+            counts = reference_waiting(Q)
+            best = max(counts, key=lambda c: (counts[c], [-x for x in c]))
             assert search._branch_cell() == slot(T.n, best)
             checked += 1
-    assert checked > 10
+    assert checked > 50
 
 
 class CheckedSearch(TableSearch):
-    """A search that checks its incrementally kept ratings against the
-    full sweep at every branch, and keeps a copy of its root ratings."""
+    """A search that checks the rating it branches on, each blank cell's
+    watch count, against the full sweep at every branch, and keeps a copy
+    of the watch lists as they were after the root propagation."""
 
-    def _rate_root(self):
-        super()._rate_root()
-        self.root = (self.reads[:], self.rating[:])
+    checked = 0
+
+    def start(self):
+        ok = super().start()
+        self.root = [w[:] for w in self.watch[:self.cells]]
+        return ok
 
     def _branch_cell(self):
-        expected = reference_ratings(self.to_partial())
-        assert {c: self.rating[slot(self.n, c)] for c in expected} == expected
+        P = self.to_partial()
+        assert reference_propagate(P).tables == P.tables, "not a fixpoint"
+        expected = reference_waiting(P)
+        assert {c: len(self.watch[slot(self.n, c)]) for c in expected} == expected
+        self.checked += 1
         return super()._branch_cell()
 
 
@@ -205,15 +188,17 @@ def test_incremental_ratings_match_full_sweep(kishino_T, blank_tables):
     search = CheckedSearch(P)
     assert search.run() == expected
     assert search.nodes > 10
-    # every node restores the ratings it found, the root included
-    assert (search.reads, search.rating) == search.root
+    # every branching node was checked, and each tried n values
+    assert search.nodes == 1 + search.n * search.checked
+    # backtracking pops every watch entry a branch added, back to the root
+    assert [w[:] for w in search.watch[:search.cells]] == search.root
 
 
 def test_search_tree_size_is_pinned(blank_search):
     # Nodes are propagations: the root and one per branch value tried.
-    # These are the full-sweep search's counts; the same cell is chosen
-    # at every node, so the tree cannot grow.
-    for n, count, nodes in [(1, 1, 3), (2, 2, 131), (3, 36, 15082)]:
+    # The counts follow from the branch rule: a change of rule changes
+    # them, and so must change this pin.
+    for n, count, nodes in [(1, 1, 3), (2, 2, 67), (3, 36, 2761), (4, 744, 194521)]:
         search = blank_search(n)
         assert len(search.found) == count
         assert search.nodes == nodes
@@ -257,44 +242,17 @@ def test_axiom_instance_counts():
     assert len(axiom_instances(3)) == 198
 
 
-def test_rating_on_blank_single_element():
-    # With every cell blank each operation can be read by any instance that
-    # mentions it somewhere; on one element that is 6 of the 10 instances,
-    # the same for all four tables by symmetry.
-    P = PartialBiquandle.blank(1)
-    assert [rate_zero(P, (k, 1, 1)) for k in OpKind] == [6, 6, 6, 6]
-
-
-def test_rating_requires_blank(kishino_T):
-    P = PartialBiquandle.from_biquandle(kishino_T)
-    with pytest.raises(ValueError, match="is not blank"):
-        rate_zero(P, (OpKind.UP, 1, 1))
-
-
-def test_ratings_never_increase_as_cells_fill(kishino_T):
-    # Filling any cell can only shrink the set of instances that might read
-    # a given blank.
-    rng = random.Random(20260814)
-    cells = all_cells(4)
-    rng.shuffle(cells)
-    P = PartialBiquandle.blank(4)
-    prev = ratings(P)
-    assert prev == {c: rate_zero(P, c) for c in P.blanks()}
-    for cell in cells:
-        P.set(cell, kishino_T.tables[cell[0]][cell[1] - 1][cell[2] - 1])
-        cur = ratings(P)
-        assert all(cur[c] <= prev[c] for c in cur)
-        prev = cur
-    # spot-check the bulk ratings against the single-cell ones mid-fill too
-    P2 = PartialBiquandle.blank(4)
-    for cell in cells[:40]:
-        P2.set(cell, kishino_T.tables[cell[0]][cell[1] - 1][cell[2] - 1])
-    assert ratings(P2) == {c: rate_zero(P2, c) for c in P2.blanks()}
+def test_waiting_on_blank_single_element():
+    # Nothing is forced on one blank element.  Of the 20 sides, the 4 bare
+    # variables are complete and the other 16 wait on their first read,
+    # 4 on each table.
+    assert waiting(PartialBiquandle.blank(1)) == {(k, 1, 1): 4 for k in OpKind}
 
 
 def test_propagation_detects_contradiction():
     allones = PartialBiquandle([[[1, 1], [1, 1]] for _ in range(4)])
     assert propagate(allones) is CONTRADICTION
+    assert waiting(allones) is CONTRADICTION
 
 
 def test_propagation_restores_blanked_cell(kishino_T):
@@ -303,6 +261,7 @@ def test_propagation_restores_blanked_cell(kishino_T):
     forced = propagate(P)
     assert forced is not CONTRADICTION
     assert forced.get((OpKind.DOWN, 4, 4)) == kishino_T.down(4, 4)
+    assert waiting(P) == {}, "no blank cell is left to wait on"
 
 
 def test_every_single_blank_completes_uniquely(kishino_T):
@@ -346,10 +305,11 @@ def relabel(T, perm):
 def orbit_census(found):
     """(number of isomorphism classes, sum of n!/|Aut(T)| over the classes)
     of a list of order-n tables closed under relabelling."""
+    tables = set(found)
     classes = {}
     for T in found:
         images = [relabel(T, perm) for perm in itertools.permutations(range(1, T.n + 1))]
-        assert all(image in found for image in images)
+        assert all(image in tables for image in images)
         autos = sum(image == T for image in images)
         classes[min(write_biquandle(image) for image in images)] = \
             math.factorial(T.n) // autos
@@ -380,6 +340,20 @@ def test_enumerate_three_elements(blank_search):
     assert keys == sorted(keys) and len(set(keys)) == 36
     # orbit-stabilizer: 15 classes whose orbits make up all 36 tables
     assert orbit_census(found) == (15, 36)
+
+
+def test_enumerate_four_elements(blank_search, kishino_T):
+    # the order-4 census: 98 classes whose orbits make up all 744 tables
+    found = blank_search(4).found
+    assert len(found) == 744
+    assert all(validate_biquandle(T).ok for T in found)
+    keys = [write_biquandle(T) for T in found]
+    assert keys == sorted(keys) and len(set(keys)) == 744
+    assert orbit_census(found) == (98, 744)
+    tables = set(found)
+    assert kishino_T in tables
+    # every Alexander table of order 4 (s and t are units mod 4)
+    assert all(alexander_biquandle(4, s, t) in tables for s in (1, 3) for t in (1, 3))
 
 
 def test_enumerate_is_deterministic():
