@@ -32,14 +32,16 @@ colors is one table lookup of colors known before it.  The reduction only
 picks the survivors, and presentation.eliminate picks them on leaf counts
 without building a word: the substituted words (Conway's five are 811
 nodes) would only repeat these same lookups.
-Survivors are ordered greedily: next comes the one that completes the
-most survivor relations not yet complete, ties going to the lowest
-generator.  At each level the scan assigns that survivor, fills in by one
-table lookup each the semi-arcs whose last survivor it is, then checks the
-relations the survivor completes.
+Survivors are ordered most constrained first, by one sort: the more
+survivor relations (those isolating a survivor) read one, the earlier it
+comes, ties going to the lowest generator.  At each level the scan assigns
+that survivor, fills in by one table lookup each the semi-arcs whose last
+survivor it is, then checks the relations the survivor completes.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from .core import Biquandle, SearchLimitError, compile_sides
 from .gauss import GaussCode
@@ -56,35 +58,32 @@ def _stage(pres: Presentation, survivors):
     and per scan level the table lookups (dst, kind, left, right) and the
     relation checks (slot, survivor) that the level's survivor completes.
     Semi-arc g has value slot g; the left side of each relation that
-    isolates a survivor gets a spare slot after the semi-arcs.
+    isolates a survivor gets a spare slot after the semi-arcs.  Raises
+    ValueError if the relations isolating the other semi-arcs form a cycle.
     """
     isolating = {r.rhs: r.lhs for r in pres.relations}
     reads = {g: {g} for g in survivors}  # the survivors a color depends on
     placed: list[int] = []  # eliminated semi-arcs, each after those it reads
-
-    def read(g: int) -> set[int]:
-        if g not in reads:
-            w = isolating[g]
-            reads[g] = read(w.left.index) | read(w.right.index)
-            placed.append(g)
-        return reads[g]
-
+    # Post-order on a stack, left input first; a path past every semi-arc is a cycle.
     for g in pres.generators:
-        read(g)
+        stack = [] if g in reads else [g]
+        while stack:
+            w = isolating[stack[-1]]
+            a, b = w.left.index, w.right.index
+            h = b if a in reads else a
+            if h in reads:
+                placed.append(stack.pop())
+                reads[placed[-1]] = reads[a] | reads[b]
+            elif len(stack) > len(pres.generators):
+                raise ValueError("the survivors leave a cycle of crossing relations")
+            else:
+                stack.append(h)
     checked = [(w, s) for s, w in isolating.items() if s in survivors]
 
-    # Greedy order: next, the survivor that completes the most relations
-    # not yet complete; ties go to the lowest generator number.
-    pending = [reads[w.left.index] | reads[w.right.index] | {s} for w, s in checked]
-    order: list[int] = []
-    left = sorted(survivors)
-    while left:
-        g = max(left, key=lambda g: sum(p == {g} for p in pending))
-        order.append(g)
-        left.remove(g)
-        for p in pending:
-            p.discard(g)
-        pending = [p for p in pending if p]
+    # Most constrained first: by how many survivor relations read each.
+    uses = Counter(g for w, s in checked
+                   for g in reads[w.left.index] | reads[w.right.index] | {s})
+    order = sorted(survivors, key=lambda g: (-uses[g], g))
 
     # A color's level is the scan position of the last survivor it reads.
     arcs = len(pres.generators)

@@ -8,10 +8,10 @@ from biquandles import coloring, presentation, search
 from biquandles.coloring import (SearchLimitError, counting_invariant,
                                  enumerate_colorings, enumerate_colorings_oracle,
                                  scan_reduction)
-from biquandles.core import alexander_biquandle
+from biquandles.core import OpKind, alexander_biquandle
 from biquandles.gauss import crossings_of, insert_r_move, parse_gauss_code
-from biquandles.presentation import (Presentation, eval_word, knot_presentation,
-                                     reduce_with_trace, word_nodes)
+from biquandles.presentation import (Gen, OpWord, Presentation, Relation, eval_word,
+                                     knot_presentation, reduce_with_trace, word_nodes)
 
 SHIPPED_CODES = ["unknot", "trefoil", "kishino", "link-two-component", "conway"]
 
@@ -291,4 +291,33 @@ def test_scan_evaluates_each_subword_once(conway_code, monkeypatch):
     monkeypatch.setattr(coloring, "_padded", lambda t: CountingTable(padded(t)))
     monkeypatch.setattr(CountingTable, "lookups", 0)
     assert len(enumerate_colorings(conway_code, alexander_biquandle(7, 2, 3))) == 7
-    assert CountingTable.lookups == 52_822
+    assert CountingTable.lookups == 36_358
+
+
+def test_scan_orders_survivors_most_constrained_first(kishino_T, random_code, monkeypatch):
+    # 12 survivors, where completing relations one pick at a time made
+    # 119,578,624 table lookups: its early picks completed none.
+    code = random_code(random.Random(3), 20, 1)
+    pres = knot_presentation(code)
+    survivors = presentation.eliminate(pres)[0]
+    assert len(survivors) == 12
+    padded = coloring._padded
+    monkeypatch.setattr(coloring, "_padded", lambda t: CountingTable(padded(t)))
+    monkeypatch.setattr(CountingTable, "lookups", 0)
+    found = scan_reduction(kishino_T, pres, survivors)
+    assert CountingTable.lookups == 99_552
+    assert len(found) == 8
+    assert found == enumerate_colorings_oracle(code, kishino_T)
+
+
+def test_stage_walks_long_chains_without_recursion(trefoil_code):
+    # Semi-arc g < N is (g+1)^(g+1) and semi-arc 1 checks the survivor N:
+    # a chain of N - 1 eliminated semi-arcs, far past the recursion limit.
+    N = 5_000
+    relations = [Relation(OpWord(OpKind.UP, Gen(g + 1), Gen(g + 1)), g) for g in range(1, N)]
+    relations.append(Relation(OpWord(OpKind.UP, Gen(1), Gen(1)), N))
+    chain = Presentation(tuple(range(1, N + 1)), tuple(relations))
+    assert len(scan_reduction(alexander_biquandle(3, 1, 2), chain, (N,))) == 3
+    # with no survivors the crossing relations form cycles, which no walk finishes
+    with pytest.raises(ValueError, match="cycle"):
+        scan_reduction(alexander_biquandle(3, 1, 2), knot_presentation(trefoil_code), ())
