@@ -18,6 +18,10 @@ prints one "error:" line to stderr; with --porcelain it also prints
 "warning: <message>" line to stderr, when it is raised.  With --porcelain,
 --show-presentation adds "presentation" and "reduced" lists of lines to the
 JSON object (suite's list goes under "results").
+The code subcommands take one path from --code to a search: load the
+files, reduce the presentation once, refuse a search over the candidate
+cap, then validate the table, then show the presentation, then compute; so
+a large table's n^3 validation and suite's H^2 never delay the refusal.
 All output is deterministic.  --jobs is accepted for compatibility and
 changes nothing: colorings run in one process.
 Each subcommand imports only the modules it uses, so start-up pays for no
@@ -56,23 +60,33 @@ def _load(path: str, parse, *args):
         raise ValueError(f"{path}: {e}") from None
 
 
-def _show_presentation(args, out, code, reduced=None) -> dict:
-    """With --show-presentation, the presentation and its reduction: written
-    as text now, or with --porcelain returned for the JSON object."""
-    if not args.show_presentation:
-        return {}
-    from .presentation import format_presentation, knot_presentation, reduce_presentation
+def _checked_search(args, out, T):
+    """--code turned into a checked search of T, in the order the module
+    docstring gives.  Returns (code, presentation, survivors, shown), where
+    shown holds the fields --porcelain --show-presentation adds."""
+    from .coloring import check_search_size
+    from .gauss import parse_gauss_code
+    from .presentation import (eliminate, format_presentation, knot_presentation,
+                               reduce_presentation)
+    code = _load(args.code, parse_gauss_code)
     pres = knot_presentation(code)
-    reduced = reduced or reduce_presentation(pres)
+    # the words are built only to be shown; the search needs the survivors
+    reduced = reduce_presentation(pres) if args.show_presentation else None
+    survivors = reduced.generators if args.show_presentation else eliminate(pres)[0]
+    check_search_size(T.n, len(survivors))
+    if not T.is_valid:
+        raise ValueError("biquandle fails validation")
+    if not args.show_presentation:
+        return code, pres, survivors, {}
     shown = {"presentation": format_presentation(pres).splitlines(),
              "reduced": format_presentation(reduced).splitlines()}
-    if args.porcelain:
-        return shown
-    out.write("presentation:\n")
-    out.writelines(f"  {line}\n" for line in shown["presentation"])
-    out.write(f"reduced ({len(reduced.generators)} generators):\n")
-    out.writelines(f"  {line}\n" for line in shown["reduced"])
-    return {}
+    if not args.porcelain:
+        out.write("presentation:\n")
+        out.writelines(f"  {line}\n" for line in shown["presentation"])
+        out.write(f"reduced ({len(survivors)} generators):\n")
+        out.writelines(f"  {line}\n" for line in shown["reduced"])
+        shown = {}
+    return code, pres, survivors, shown
 
 
 def _cmd_validate(args, out):
@@ -148,21 +162,10 @@ def _cmd_cohomology(args, out):
 
 
 def _cmd_colorings(args, out):
-    from .coloring import check_search_size, scan_reduction
-    from .gauss import parse_gauss_code
-    from .presentation import eliminate, knot_presentation, reduce_presentation
+    from .coloring import scan_reduction
     T = _load(args.biquandle, read_biquandle, args.block_convention)
-    code = _load(args.code, parse_gauss_code)
-    pres = knot_presentation(code)
-    # the words are built only to be shown; the scan needs the survivors
-    reduced = reduce_presentation(pres) if args.show_presentation else None
-    kept = reduced.generators if reduced else eliminate(pres)[0]
-    # an oversized search fails at once, before validating a large table
-    check_search_size(T.n, len(kept))
-    if not T.is_valid:
-        raise ValueError("biquandle fails validation")
-    shown = _show_presentation(args, out, code, reduced)
-    cols = scan_reduction(T, pres, kept)
+    _code, pres, survivors, shown = _checked_search(args, out, T)
+    cols = scan_reduction(T, pres, survivors)
     if args.porcelain:
         out.write(json.dumps({**shown, "count": len(cols),
                               "colorings": [list(c) for c in cols]}) + "\n")
@@ -178,12 +181,10 @@ def _cmd_colorings(args, out):
 
 def _cmd_invariant(args, out):
     from .cohomology import read_cochain
-    from .gauss import parse_gauss_code
     from .invariant import yb_invariant
     T = _load(args.biquandle, read_biquandle, args.block_convention)
-    code = _load(args.code, parse_gauss_code)
     phi = _load(args.cocycle, read_cochain, T.n)
-    shown = _show_presentation(args, out, code)
+    code, _pres, _survivors, shown = _checked_search(args, out, T)
     value = yb_invariant(code, T, phi)
     if args.porcelain:
         out.write(json.dumps({**shown, "terms": [[str(e), m] for e, m in value.terms]}) + "\n")
@@ -194,15 +195,11 @@ def _cmd_invariant(args, out):
 
 def _cmd_suite(args, out):
     from .cohomology import format_cochain
-    from .gauss import parse_gauss_code
     from .invariant import yb_invariant_suite
     from .linalg import FieldSpec
     field = FieldSpec.from_name(args.field)
     T = _load(args.biquandle, read_biquandle, args.block_convention)
-    if not T.is_valid:
-        raise ValueError("biquandle fails validation")
-    code = _load(args.code, parse_gauss_code)
-    shown = _show_presentation(args, out, code)
+    code, _pres, _survivors, shown = _checked_search(args, out, T)
     results = yb_invariant_suite(code, T, field)
     if args.porcelain:
         payload = [{"cocycle": format_cochain(phi),

@@ -109,11 +109,12 @@ def _padded(table) -> list[list[int]]:
 
 
 def _scan(T: Biquandle, pres: Presentation, survivors) -> list[tuple[int, ...]]:
-    # Backtrack over the survivors in staged order.  Level i assigns
-    # survivor i, looks up each semi-arc color (and each survivor
-    # relation's left side) that it completes, then checks the survivor
-    # relations it completes.  A full assignment has every semi-arc's
-    # color in its own slot.
+    # Backtrack over the survivors in staged order, on a stack of one value
+    # iterator per level, so a long chain of survivors needs no recursion.
+    # Level i assigns survivor i, looks up each semi-arc color (and each
+    # survivor relation's left side) that it completes, then checks the
+    # survivor relations it completes.  A full assignment has every
+    # semi-arc's color in its own slot.
     order, steps, checks, n_slots = _stage(pres, survivors)
     tables = [_padded(t) for t in T.tables]
     levels = [(g, [(dst, tables[kind], a, b) for dst, kind, a, b in step], check)
@@ -122,14 +123,13 @@ def _scan(T: Biquandle, pres: Presentation, survivors) -> list[tuple[int, ...]]:
     arcs = len(pres.generators)
     values = range(1, T.n + 1)
     val = [0] * n_slots
+    if not k:
+        return [tuple(val[1:arcs + 1])]
     found = []
-
-    def extend(i: int) -> None:
-        if i == k:
-            found.append(tuple(val[1:arcs + 1]))
-            return
-        slot, lookups, tests = levels[i]
-        for v in values:
+    stack = [iter(values)]
+    while stack:
+        slot, lookups, tests = levels[len(stack) - 1]
+        for v in stack[-1]:
             val[slot] = v
             for dst, tab, a, b in lookups:
                 val[dst] = tab[val[a]][val[b]]
@@ -137,9 +137,13 @@ def _scan(T: Biquandle, pres: Presentation, survivors) -> list[tuple[int, ...]]:
                 if val[w] != val[r]:
                     break
             else:
-                extend(i + 1)
-
-    extend(0)
+                if len(stack) == k:
+                    found.append(tuple(val[1:arcs + 1]))
+                else:
+                    stack.append(iter(values))
+                    break  # descend; this level resumes where it stopped
+        else:
+            stack.pop()
     return found
 
 

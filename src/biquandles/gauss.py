@@ -230,15 +230,10 @@ def insert_r_move(code: GaussCode, move: str, site, *, under_first: bool = False
             raise ValueError("R2 sites must be distinct")
         over_pair = [GaussEntry(fresh, Role.OVER, 1), GaussEntry(fresh + 1, Role.OVER, -1)]
         under_pair = [GaussEntry(fresh, Role.UNDER, 1), GaussEntry(fresh + 1, Role.UNDER, -1)]
-        if c1 == c2:
-            first, second = ((p1, over_pair), (p2, under_pair))
-            if p2 > p1:
-                first, second = ((p2, under_pair), (p1, over_pair))
-            comps[c1][first[0]:first[0]] = first[1]
-            comps[c1][second[0]:second[0]] = second[1]
-        else:
-            comps[c1][p1:p1] = over_pair
-            comps[c2][p2:p2] = under_pair
+        # the later site first, so the earlier position stays where it was
+        for c, p, pair in sorted(((c1, p1, over_pair), (c2, p2, under_pair)),
+                                 key=lambda s: s[:2], reverse=True):
+            comps[c][p:p] = pair
     else:
         raise ValueError(f"unknown move {move!r}; expected R1+, R1- or R2")
 

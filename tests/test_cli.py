@@ -253,13 +253,20 @@ def test_colorings_porcelain_error(run, data_dir, tmp_path):
     assert json.loads(out) == {"error": message} and out.count("\n") == 1
 
 
-def test_colorings_checks_search_size_before_validating(run, data_dir, tmp_path):
-    # An invalid order-50 table: the size check must answer first, without
-    # the n^3 validation.
+@pytest.mark.parametrize("command", ["colorings", "invariant", "suite"])
+def test_colorings_checks_search_size_before_validating(run, data_dir, tmp_path, command):
+    # An invalid order-50 table: every code subcommand's size check must
+    # answer first, without the n^3 validation (or suite's H^2 of the table).
     bad = tmp_path / "ones50.bq"
     bad.write_text("\n".join(" ".join(["1"] * 100) for _ in range(100)) + "\n")
-    rc, out, err = run("colorings", "--count-only",
-                       "--code", str(data_dir / "conway.gauss"), "--biquandle", str(bad))
+    argv = [command, "--code", str(data_dir / "conway.gauss"), "--biquandle", str(bad)]
+    if command == "colorings":
+        argv.append("--count-only")
+    if command == "invariant":
+        zero = tmp_path / "zero.cyc"
+        zero.write_text("field Q\n")
+        argv += ["--cocycle", str(zero)]
+    rc, out, err = run(*argv)
     assert (rc, out) == (1, "")
     assert err == "error: search too large: 50^5 = 312500000 candidate assignments\n"
 

@@ -321,3 +321,14 @@ def test_stage_walks_long_chains_without_recursion(trefoil_code):
     # with no survivors the crossing relations form cycles, which no walk finishes
     with pytest.raises(ValueError, match="cycle"):
         scan_reduction(alexander_biquandle(3, 1, 2), knot_presentation(trefoil_code), ())
+
+
+def test_scan_walks_long_survivor_chains_without_recursion():
+    # T(2,1001)'s reduction stops at its budget with 1,005 survivors, one
+    # scan level each, far past the recursion limit
+    n = 1001
+    code = parse_gauss_code(",".join(f"{'-' * (i % 2)}{i % n + 1}" for i in range(2 * n)) + ",0")
+    with pytest.warns(UserWarning, match="stopped early"):
+        assert len(enumerate_colorings(code, alexander_biquandle(1, 1, 1))) == 1
+    # a presentation with no scan levels has the one empty coloring
+    assert scan_reduction(alexander_biquandle(3, 1, 2), Presentation((), ()), ()) == [()]
