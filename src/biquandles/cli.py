@@ -12,16 +12,16 @@ Subcommands:
 Exit codes: 0 success, 1 domain error (invalid input data), 2 usage error.
 A domain error is a ValueError (a file that fails to parse, named in the
 message, or a table that fails validation), an OSError, a SearchLimitError
-or a RecursionError (a presentation word nested past the stack limit).  It
-prints one "error:" line to stderr; with --porcelain it also prints
-{"error": "<message>"} as its only line of stdout.  A warning prints as one
-"warning: <message>" line to stderr, when it is raised.  With --porcelain,
---show-presentation adds "presentation" and "reduced" lists of lines to the
-JSON object (suite's list goes under "results").
-The code subcommands take one path from --code to a search: load the
-files, reduce the presentation once, refuse a search over the candidate
-cap, then validate the table, then show the presentation, then compute; so
-a large table's n^3 validation and suite's H^2 never delay the refusal.
+or a RecursionError.  It prints one "error:" line to stderr; with
+--porcelain it also prints {"error": "<message>"} as its only line of
+stdout.  A warning prints as one "warning: <message>" line to stderr, when
+it is raised.  With --porcelain, --show-presentation adds "presentation"
+and "reduced" lists of lines to the JSON object (suite's list goes under
+"results"), and cohomology --classify (read with the table) adds
+"classification".  The code subcommands take one path from --code to a
+search: load the files, then coloring.checked_search, then show the
+presentation, then compute; so a large table's n^3 validation and suite's
+H^2 never delay the refusal of a search over the candidate cap.
 All output is deterministic.  --jobs is accepted for compatibility and
 changes nothing: colorings run in one process.
 Each subcommand imports only the modules it uses, so start-up pays for no
@@ -64,22 +64,15 @@ def _checked_search(args, out, T):
     """--code turned into a checked search of T, in the order the module
     docstring gives.  Returns (code, presentation, survivors, shown), where
     shown holds the fields --porcelain --show-presentation adds."""
-    from .coloring import check_search_size
+    from .coloring import checked_search
     from .gauss import parse_gauss_code
-    from .presentation import (eliminate, format_presentation, knot_presentation,
-                               reduce_presentation)
+    from .presentation import format_presentation, reduce_to
     code = _load(args.code, parse_gauss_code)
-    pres = knot_presentation(code)
-    # the words are built only to be shown; the search needs the survivors
-    reduced = reduce_presentation(pres) if args.show_presentation else None
-    survivors = reduced.generators if args.show_presentation else eliminate(pres)[0]
-    check_search_size(T.n, len(survivors))
-    if not T.is_valid:
-        raise ValueError("biquandle fails validation")
+    pres, survivors = checked_search(code, T)
     if not args.show_presentation:
         return code, pres, survivors, {}
     shown = {"presentation": format_presentation(pres).splitlines(),
-             "reduced": format_presentation(reduced).splitlines()}
+             "reduced": format_presentation(reduce_to(pres, survivors)[0]).splitlines()}
     if not args.porcelain:
         out.write("presentation:\n")
         out.writelines(f"  {line}\n" for line in shown["presentation"])
@@ -135,24 +128,27 @@ def _cmd_cohomology(args, out):
     from .linalg import FieldSpec
     field = FieldSpec.from_name(args.field)
     T = _load(args.biquandle, read_biquandle, args.block_convention)
+    given = _load(args.classify, read_cochain, T.n) if args.classify else None
     if not T.is_valid:
         raise ValueError("biquandle fails validation")
     basis = reduced_cohomology_basis(T, field)
+    result = classify_cochain(T, given) if given else None
     if args.porcelain:
         payload = {"field": field.name(), "dimension": len(basis),
                    "basis": [{f"{x} {y}": str(phi.value(x, y))
                               for x in range(1, phi.n + 1) for y in range(1, phi.n + 1)
                               if phi.value(x, y) != 0} for phi in basis]}
+        if result:
+            payload["classification"] = {"kind": result.kind.value,
+                                         "ri_reduced": result.ri_reduced}
         out.write(json.dumps(payload) + "\n")
     else:
         out.write(f"reduced H^2 dimension {len(basis)} over {field.name()}\n")
         for k, phi in enumerate(basis, start=1):
             out.write(f"phi[{k}] = {format_cochain(phi)}\n")
-    if args.classify:
-        phi = _load(args.classify, read_cochain, T.n)
-        result = classify_cochain(T, phi)
-        out.write(f"classification: {result.kind.value}"
-                  f"{' (RI-reduced)' if result.ri_reduced else ''}\n")
+        if result:
+            out.write(f"classification: {result.kind.value}"
+                      f"{' (RI-reduced)' if result.ri_reduced else ''}\n")
     if args.output_dir:
         os.makedirs(args.output_dir, exist_ok=True)
         for k, phi in enumerate(basis, start=1):
@@ -301,7 +297,7 @@ def main(argv=None) -> int:
             return args.func(args, sys.stdout)
         except (SearchLimitError, OSError, ValueError, RecursionError) as e:
             # OSError: a missing file, a directory, an -o path under a file;
-            # RecursionError: a presentation word nested past the stack limit
+            # RecursionError: a word nested past the stack limit, should a step recurse on one
             print(f"error: {e}", file=sys.stderr)
             if args.porcelain:
                 print(json.dumps({"error": str(e)}))

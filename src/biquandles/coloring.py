@@ -155,6 +155,17 @@ def check_search_size(n: int, survivors: int) -> None:
             f"search too large: {n}^{survivors} = {total} candidate assignments")
 
 
+def checked_search(code: GaussCode, T: Biquandle) -> tuple[Presentation, tuple[int, ...]]:
+    """The knot presentation of code and its survivors, once the scan by T
+    is known to be under the candidate cap and then T to be valid."""
+    pres = knot_presentation(code)
+    survivors = eliminate(pres)[0]
+    check_search_size(T.n, len(survivors))
+    if not T.is_valid:
+        raise ValueError("biquandle fails validation")
+    return pres, survivors
+
+
 def enumerate_colorings(code: GaussCode, T: Biquandle) -> list[tuple[int, ...]]:
     """All colorings, via reduction plus a backtracking scan of the survivors."""
     pres = knot_presentation(code)

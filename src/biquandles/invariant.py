@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cohomology import Cochain2, is_cocycle, is_ri_reduced, reduced_cohomology_basis
-from .coloring import enumerate_colorings
+from .coloring import checked_search, scan_reduction
 from .core import Biquandle
 from .gauss import GaussCode, crossings_of
 from .linalg import FieldSpec
@@ -88,10 +88,10 @@ def boltzmann_sum(code: GaussCode, T: Biquandle, phi: Cochain2, coloring) -> obj
     return _state_sum(crossings_of(code), T.n, phi, coloring)
 
 
-def _invariants(code: GaussCode, T: Biquandle, cocycles) -> list[LaurentMultiset]:
-    """The state-sum invariant of each cocycle, from one enumeration of the
-    colorings; no checks."""
-    colorings = enumerate_colorings(code, T)
+def _invariants(code: GaussCode, T: Biquandle, reduction, cocycles) -> list[LaurentMultiset]:
+    """The state-sum invariant of each cocycle, from one scan of the
+    colorings over reduction = (presentation, survivors); no checks."""
+    colorings = scan_reduction(T, *reduction)
     crossings, n = crossings_of(code), T.n
     return [LaurentMultiset.from_exponents(
                 _state_sum(crossings, n, phi, c) for c in colorings)
@@ -101,19 +101,18 @@ def _invariants(code: GaussCode, T: Biquandle, cocycles) -> list[LaurentMultiset
 def yb_invariant(code: GaussCode, T: Biquandle, phi: Cochain2) -> LaurentMultiset:
     """State-sum invariant for one cocycle.
 
-    Errors if T is invalid or phi fails the cocycle condition; warns if phi
-    is not RI-reduced (the result is then only an invariant of framed
-    moves).
+    Errors if the search is over the candidate cap, then if T is invalid
+    or phi fails the cocycle condition; warns if phi is not RI-reduced
+    (the result is then only an invariant of framed moves).
     """
-    if not T.is_valid:
-        raise ValueError("biquandle fails validation")
+    reduction = checked_search(code, T)
     _check_size(T, phi)
     if not is_cocycle(T, phi):
         raise ValueError("cochain is not a cocycle")
     if not is_ri_reduced(T, phi):
         warnings.warn("cocycle is not RI-reduced; the state sum may change "
                       "under first Reidemeister moves")
-    return _invariants(code, T, [phi])[0]
+    return _invariants(code, T, reduction, [phi])[0]
 
 
 def yb_invariant_suite(code: GaussCode, T: Biquandle,
@@ -126,12 +125,11 @@ def yb_invariant_suite(code: GaussCode, T: Biquandle,
     construction, so they are not checked again; the colorings are
     enumerated once for all of them, and not at all for an empty basis.
     """
-    if not T.is_valid:
-        raise ValueError("biquandle fails validation")
+    reduction = checked_search(code, T)
     basis = _suite_basis(T, field)
     if not basis:
         return []
-    return list(zip(basis, _invariants(code, T, basis)))
+    return list(zip(basis, _invariants(code, T, reduction, basis)))
 
 
 @functools.lru_cache(maxsize=16)

@@ -12,7 +12,8 @@ relations, each with a single generator isolated on the right:
 repeatedly eliminates a relation whose isolated generator does not occur on
 its other side, substituting the word for the generator everywhere.
 eliminate decides it on leaf counts alone, which is all the coloring scan
-needs; reduce_with_trace also builds the words, for callers that read them.
+needs; reduce_to builds the words from the survivors, for callers that
+read them.
 """
 
 from __future__ import annotations
@@ -85,15 +86,15 @@ _OP_TEXT = {OpKind.UP: "^", OpKind.DOWN: "_", OpKind.UPBAR: "^-", OpKind.DOWNBAR
 
 
 def format_word(w) -> str:
-    if isinstance(w, Gen):
-        return str(w.index)
-    left = format_word(w.left)
-    right = format_word(w.right)
-    if isinstance(w.left, OpWord):
-        left = f"({left})"
-    if isinstance(w.right, OpWord):
-        right = f"({right})"
-    return f"{left}{_OP_TEXT[w.kind]}{right}"
+    out, stack = [], [w]  # no recursion, so words nested past its limit print
+    while stack:
+        if isinstance(w := stack.pop(), OpWord):  # pushed right to left
+            stack += [")", w.right, "("] if isinstance(w.right, OpWord) else [w.right]
+            stack.append(_OP_TEXT[w.kind])
+            stack += [")", w.left, "("] if isinstance(w.left, OpWord) else [w.left]
+        else:
+            out.append(w if isinstance(w, str) else str(w.index))
+    return "".join(out)
 
 
 def format_relation(r: Relation) -> str:
@@ -160,53 +161,47 @@ def eliminate(p: Presentation, max_nodes: int = NODE_BUDGET
     return tuple(g for g in p.generators if g not in gone), order
 
 
-def reduce_with_trace(p: Presentation, max_nodes: int = NODE_BUDGET
-                      ) -> tuple[Presentation, list[tuple[int, "Word"]]]:
-    """Tietze reduction; returns the reduced presentation and the list of
-    (eliminated generator, substituted word) in elimination order.
+def reduce_to(p: Presentation, survivors) -> tuple[Presentation, dict[int, "Word"]]:
+    """The presentation left when every relation not isolating a survivor
+    is eliminated, and {eliminated generator: its word over the survivors}.
 
-    Each eliminated generator's word involves only generators that survive
-    longer, so colorings extend by replaying the trace in reverse.  The
-    words, from eliminate's order, share subwords as one DAG: each is its
-    original left side with eliminated generators read as their words as
-    of that step, rebuilt only when read after a generator it reaches is
-    eliminated, and nothing recurses along chains.
+    The words do not depend on the order of elimination.  Each is built
+    once, after the words it reads, sharing them as a DAG; a cycle among
+    the eliminated generators' relations raises ValueError.
     """
-    kept, order = eliminate(p, max_nodes)
     lhs = {r.rhs: r.lhs for r in p.relations}
-    reads = {g: _leaf_counts(w) for g, w in lhs.items()}
-    word: dict[int, Word] = {}  # each eliminated generator's word
-    users: dict[int, list[int]] = {}  # h -> eliminated generators whose relation reads h
-    stale: set[int] = set()  # eliminated generators whose word changed since it was built
+    reads = {g: _leaf_counts(lhs[g]) for g in lhs.keys() - survivors}
+    word: dict[int, Word] = {}
 
     def build(w):
         if isinstance(w, Gen):
             return word.get(w.index, w)
         return OpWord(w.kind, build(w.left), build(w.right))
 
-    def current(g):  # the word of g's relation as of now
-        stack = [g]
+    # Post-order on a stack that holds one path; a path past every
+    # eliminated generator repeats one, so it is a cycle.
+    for g in reads:
+        stack = [] if g in word else [g]
         while stack:
-            todo = [h for h in reads[stack[-1]] if h in stale]
-            stack += todo
-            if not todo and (h := stack.pop()) in stale:
-                stale.remove(h)
+            h = next((h for h in reads[stack[-1]] if h in reads and h not in word), None)
+            if h is None:
+                h = stack.pop()
                 word[h] = build(lhs[h])
-        return build(lhs[g])
+            elif len(stack) > len(reads):
+                raise ValueError("the eliminated generators' relations form a cycle")
+            else:
+                stack.append(h)
+    rels = tuple(Relation(build(lhs[g]), g) for g in sorted(lhs) if g not in reads)
+    return Presentation(tuple(survivors), rels), word
 
-    trace: list[tuple[int, Word]] = []
-    for g in order:
-        word[g] = current(g)
-        trace.append((g, word[g]))
-        for h in reads[g]:
-            users.setdefault(h, []).append(g)
-        stack = list(users.get(g, ()))
-        while stack:
-            if (h := stack.pop()) not in stale:
-                stale.add(h)
-                stack += users.get(h, ())
-    rels = tuple(Relation(current(g), g) for g in sorted(lhs) if g not in word)
-    return Presentation(kept, rels), trace
+
+def reduce_with_trace(p: Presentation, max_nodes: int = NODE_BUDGET
+                      ) -> tuple[Presentation, list[tuple[int, "Word"]]]:
+    """Tietze reduction: eliminate, then reduce_to; the trace lists each
+    (eliminated generator, its word over the survivors) in elimination order."""
+    kept, order = eliminate(p, max_nodes)
+    reduced, word = reduce_to(p, kept)
+    return reduced, [(g, word[g]) for g in order]
 
 
 def reduce_presentation(p: Presentation, max_nodes: int = NODE_BUDGET) -> Presentation:

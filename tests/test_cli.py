@@ -136,6 +136,26 @@ def test_cohomology_classify_parse_error_names_file(run, data_dir):
                    "header (line 1)\n")
 
 
+def test_cohomology_porcelain_classify_is_one_document(run, data_dir):
+    argv = ["cohomology", "--biquandle", str(data_dir / "kishinoT.bq"),
+            "--classify", str(data_dir / "phi1.cyc")]
+    rc, out, _ = run(*argv, "--porcelain")
+    assert rc == 0 and out.count("\n") == 1
+    doc = json.loads(out)
+    assert doc.pop("classification") == {"kind": "nontrivial-cocycle", "ri_reduced": True}
+    rc, bare, _ = run(*argv[:3], "--porcelain")
+    assert doc == json.loads(bare)
+
+
+def test_cohomology_porcelain_classify_error_is_one_line(run, data_dir):
+    # the --classify file is read with the table, before any basis prints
+    code = str(data_dir / "kishino.gauss")
+    rc, out, err = run("cohomology", "--porcelain", "--biquandle",
+                       str(data_dir / "kishinoT.bq"), "--classify", code)
+    message = f"{code}: expected 'field Q' or 'field Zp:<prime>' header (line 1)"
+    assert (rc, out, err) == (1, json.dumps({"error": message}) + "\n", f"error: {message}\n")
+
+
 def test_cohomology_mod_five(run, data_dir):
     rc, out, _ = run("cohomology", "--field", "Zp:5",
                      "--biquandle", str(data_dir / "kishinoT.bq"))
@@ -423,9 +443,8 @@ def test_warning_prints_one_line(run, data_dir, tmp_path):
 
 @pytest.mark.parametrize("command", ["invariant", "suite"])
 def test_recursion_error_is_one_line(run, data_dir, monkeypatch, command):
-    # after the reduction budget is spent, the (2,1001) torus knot's words
-    # nest past the stack limit in format_word; a fake stands in, since the
-    # real depth depends on how the reduction builds its words
+    # a word nested past the stack limit is a domain error; format_word
+    # walks on a stack, so no shipped input raises it, and a fake stands in
     from biquandles import presentation
 
     def too_deep(pres):
@@ -440,6 +459,22 @@ def test_recursion_error_is_one_line(run, data_dir, monkeypatch, command):
     rc, out, err = run(*argv)
     assert (rc, out) == (1, '{"error": "maximum recursion depth exceeded"}\n')
     assert err == "warning: reduction stopped early\nerror: maximum recursion depth exceeded\n"
+
+
+def test_show_presentation_of_a_long_knot(run, tmp_path):
+    # T(2,1001)'s reduced words nest about a thousand deep, past the
+    # recursion limit; format_word prints them (3.5 MB) on a stack
+    n = 1001
+    code = tmp_path / "t1001.gauss"
+    code.write_text(",".join(f"{'-' * (i % 2)}{i % n + 1}" for i in range(2 * n)) + ",0\n")
+    table = tmp_path / "a111.bq"
+    table.write_text(write_biquandle(alexander_biquandle(1, 1, 1)))
+    rc, out, err = run("colorings", "--count-only", "--show-presentation",
+                       "--code", str(code), "--biquandle", str(table))
+    lines = out.splitlines()
+    assert (rc, lines[-1]) == (0, "1")
+    assert "reduced (1005 generators):" in lines
+    assert "error" not in err
 
 
 def _mutate(rng, text):

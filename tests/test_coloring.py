@@ -11,7 +11,8 @@ from biquandles.coloring import (SearchLimitError, counting_invariant,
 from biquandles.core import OpKind, alexander_biquandle
 from biquandles.gauss import crossings_of, insert_r_move, parse_gauss_code
 from biquandles.presentation import (Gen, OpWord, Presentation, Relation, eval_word,
-                                     knot_presentation, reduce_with_trace, word_nodes)
+                                     knot_presentation, reduce_to, reduce_with_trace,
+                                     word_nodes)
 
 SHIPPED_CODES = ["unknot", "trefoil", "kishino", "link-two-component", "conway"]
 
@@ -318,9 +319,16 @@ def test_stage_walks_long_chains_without_recursion(trefoil_code):
     relations.append(Relation(OpWord(OpKind.UP, Gen(1), Gen(1)), N))
     chain = Presentation(tuple(range(1, N + 1)), tuple(relations))
     assert len(scan_reduction(alexander_biquandle(3, 1, 2), chain, (N,))) == 3
+    # the word builder gives each link one word, reading the next link's
+    reduced, word = reduce_to(chain, (N,))
+    assert word[N - 1] == OpWord(OpKind.UP, Gen(N), Gen(N))
+    assert all(word[g].left is word[g].right is word[g + 1] for g in range(1, N - 1))
+    assert reduced.relations[0].lhs.left is word[1] and len(reduced.relations) == 1
     # with no survivors the crossing relations form cycles, which no walk finishes
     with pytest.raises(ValueError, match="cycle"):
         scan_reduction(alexander_biquandle(3, 1, 2), knot_presentation(trefoil_code), ())
+    with pytest.raises(ValueError, match="cycle"):
+        reduce_to(knot_presentation(trefoil_code), ())
 
 
 def test_scan_walks_long_survivor_chains_without_recursion():

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from biquandles import cohomology, invariant
+from biquandles import cohomology, core, invariant
 from biquandles.cohomology import (Cochain1, Cochain2, coboundary_of,
                                    cochain2_from_pairs, read_cochain,
                                    reduced_cohomology_basis, zero_cochain)
-from biquandles.core import Biquandle, BlockConvention, alexander_biquandle, read_biquandle
+from biquandles.core import (Biquandle, BlockConvention, SearchLimitError, alexander_biquandle,
+                             read_biquandle)
 from biquandles.coloring import counting_invariant
 from biquandles.gauss import insert_r_move
 from biquandles.invariant import LaurentMultiset, boltzmann_sum, yb_invariant, yb_invariant_suite
@@ -94,11 +95,26 @@ def test_suite_scans_colorings_once(conway_code, monkeypatch):
     # A(5,2,3) over Z5 has four basis cocycles, and one scan serves them all.
     A = alexander_biquandle(5, 2, 3)
     scans = []
-    real = invariant.enumerate_colorings
-    monkeypatch.setattr(invariant, "enumerate_colorings",
+    real = invariant.scan_reduction
+    monkeypatch.setattr(invariant, "scan_reduction",
                         lambda *a, **k: scans.append(a) or real(*a, **k))
     suite = yb_invariant_suite(conway_code, A, F5)
     assert len(suite) == 4 and len(scans) == 1
+
+
+def test_oversized_search_refused_before_validation(conway_code, monkeypatch):
+    # Conway keeps 5 survivors, and 50^5 candidates are over the cap: both
+    # functions refuse before the table's n^3 validation (1.4 s here) and
+    # the suite before its H^2 (minutes).
+    A = alexander_biquandle(50, 3, 7)
+
+    def never(T):
+        raise AssertionError("validated the table of an oversized search")
+    monkeypatch.setattr(core, "validate_biquandle", never)
+    with pytest.raises(SearchLimitError, match=r"50\^5"):
+        yb_invariant(conway_code, A, zero_cochain(50, Q))
+    with pytest.raises(SearchLimitError, match=r"50\^5"):
+        yb_invariant_suite(conway_code, A, Q)
 
 
 def test_suite_matches_one_invariant_per_cocycle(kishino_T, random_code):
