@@ -72,19 +72,20 @@ def zero_cochain(n: int, field: FieldSpec) -> Cochain2:
 def cocycle_matrix(T: Biquandle) -> ExactMatrix:
     """n^3 x n^2 integer matrix of the cocycle condition (the coboundary
     map on 2-cochains over Z), one sparse row per triple (x, y, z) in
-    lexicographic order; contributions accumulate.  The elimination
-    coerces its entries into whichever field it works over."""
+    lexicographic order; contributions accumulate.  The int entries go into
+    any field by FieldSpec.coerce, into GF(p) by one remainder."""
     n = T.n
-    up, down = T.up, T.down
+    up, down = T.tables[0], T.tables[1]  # 0-based rows of 1-based elements
     rows = []
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            for z in range(1, n + 1):
-                xy, zy = up(x, y), down(z, y)
+    for x in range(n):
+        for y in range(n):
+            xy, yx = up[x][y] - 1, down[y][x] - 1
+            for z in range(n):
+                zy, zxy = down[z][y] - 1, down[z][xy] - 1
                 row: dict[int, int] = {}
-                for a, b, delta in ((x, y, 1), (xy, z, 1), (down(y, x), down(z, xy), 1),
-                                    (x, zy, -1), (y, z, -1), (up(x, zy), up(y, z), -1)):
-                    k = (a - 1) * n + (b - 1)
+                for k, delta in ((x * n + y, 1), (xy * n + z, 1), (yx * n + zxy, 1),
+                                 (x * n + zy, -1), (y * n + z, -1),
+                                 ((up[x][zy] - 1) * n + up[y][z] - 1, -1)):
                     row[k] = row.get(k, 0) + delta
                 rows.append({k: c for k, c in row.items() if c})
     return ExactMatrix(n ** 3, n * n, rows)
@@ -112,10 +113,15 @@ def _coboundary_span(T: Biquandle, field: FieldSpec) -> RankTracker:
     indicator 1-cochains, so add(v) is False exactly when v is a coboundary
     (or depends on what was added since)."""
     n = T.n
+    up, down = T.tables[0], T.tables[1]
+    images = [[0] * (n * n) for _ in range(n)]  # all n images, in one pass
+    for x in range(n):
+        for y in range(n):
+            for a, d in ((x, 1), (y, 1), (up[x][y] - 1, -1), (down[y][x] - 1, -1)):
+                images[a][x * n + y] += d
     span = RankTracker(field, n * n)
-    for a in range(n):
-        lam = Cochain1(field, tuple(field.one() if i == a else field.zero() for i in range(n)))
-        span.add(coboundary_of(T, lam).coeffs)
+    for image in images:
+        span.add(image)
     return span
 
 

@@ -12,8 +12,10 @@ one at a time builds the reduced row echelon form.  rref and kernel_basis
 read their answers off that form, and an independence or membership test
 is one RankTracker.add.  The work follows the nonzeros rather than rows x
 columns; the cocycle matrices of cohomology.py are n^3 x n^2 with at most
-6 nonzeros per row.  The RREF of a matrix is unique, so the order in
-which rows are fed does not change any result.
+6 nonzeros per row.  The RREF is unique, so the order rows are fed in
+changes no result, only the work.  rref feeds them by descending leading
+column: a stored row is 0 left of its pivot, so a new pivot left of every
+stored one updates no stored row, and the stored rows do not fill in.
 
 Over Q, kernel_basis of an integer matrix first eliminates modulo the
 prime 2^61 - 1, lifts the kernel vectors by rational reconstruction and
@@ -95,7 +97,9 @@ class FieldSpec:
     # -- element arithmetic ------------------------------------------------
 
     def coerce(self, v):
-        """Accept int, Fraction, or a 'p/q' string."""
+        """Accept int, Fraction, or a 'p/q' string; an int goes into GF(p) by one remainder."""
+        if type(v) is int and self.p is not None:
+            return v % self.p
         if isinstance(v, str):
             v = Fraction(v)
         if self.p is None:
@@ -203,7 +207,7 @@ class RankTracker:
     def add(self, v) -> bool:
         """Reduce v against the stored rows; True iff v was independent."""
         coerce = self.field.coerce
-        return self._insert({c: y for c, y in enumerate(map(coerce, v)) if y})
+        return self._insert({c: y for c, x in enumerate(v) if x and (y := coerce(x))})
 
     def _insert(self, w: dict) -> bool:
         """add for a sparse row of nonzero field elements; w is consumed."""
@@ -233,12 +237,14 @@ def rref(M: ExactMatrix, F: FieldSpec) -> tuple[ExactMatrix, list[int]]:
     """Reduced row echelon form of M over F (entries are coerced into F).
 
     Returns (R, pivot columns 1-based ascending): the nonzero rows of R come
-    first in pivot order, then zero rows up to M.rows.
+    first in pivot order, then zero rows up to M.rows.  Rows are fed by
+    descending leading column (a stable sort), so a new pivot mostly lands
+    left of the stored ones, where no stored row has an entry to clear.
     """
     tracker = RankTracker(F, M.cols)
     coerce = F.coerce
-    for row in M.entries:
-        tracker._insert({c: y for c, y in ((c, coerce(x)) for c, x in row.items()) if y})
+    for row in sorted(filter(None, M.entries), key=min, reverse=True):
+        tracker._insert({c: y for c, x in row.items() if (y := coerce(x))})
     reduced = tracker.rows()
     pivots = [min(row) + 1 for row in reduced]
     reduced += [{} for _ in range(M.rows - len(reduced))]

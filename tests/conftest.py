@@ -1,10 +1,11 @@
 import functools
+import math
 import pathlib
 import random
 
 import pytest
 
-from biquandles.core import Biquandle, BlockConvention, read_biquandle
+from biquandles.core import Biquandle, BlockConvention, alexander_biquandle, read_biquandle
 from biquandles.gauss import parse_gauss_code
 from biquandles.search import PartialBiquandle, TableSearch
 
@@ -71,6 +72,26 @@ def make_random_code(rng: random.Random, crossings: int, components: int = 1):
             tokens.append(token)
         tokens.append("0")
     return parse_gauss_code(",".join(tokens))
+
+
+def relabel(T, perm):
+    """T with every element x renamed perm[x - 1]."""
+    n = T.n
+    tables = [[[0] * n for _ in range(n)] for _ in range(4)]
+    for k in range(4):
+        for a in range(n):
+            for b in range(n):
+                tables[k][perm[a] - 1][perm[b] - 1] = perm[T.tables[k][a][b] - 1]
+    return Biquandle.from_tables(*tables)
+
+
+def random_alexander(rng: random.Random, n: int) -> Biquandle:
+    """A seeded Alexander table of order n with unit parameters s, t,
+    relabelled by a seeded permutation."""
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1] or [1]
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    return relabel(alexander_biquandle(n, rng.choice(units), rng.choice(units)), perm)
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,10 @@ import random
 
 import pytest
 
+from conftest import random_alexander, relabel
+from test_linalg import reference_kernel
+
+from biquandles import linalg
 from biquandles.cohomology import (Cochain1, Cochain2, ClassifiedCochain, CochainClass,
                                    classify_cochain, coboundary_basis,
                                    coboundary_of, cochain2_from_pairs,
@@ -13,12 +17,14 @@ from biquandles.cohomology import (Cochain1, Cochain2, ClassifiedCochain, Cochai
                                    ri_constraint_pairs, write_cochain,
                                    zero_cochain)
 from biquandles.core import ParseError, alexander_biquandle
-from biquandles.linalg import ExactMatrix, FieldSpec, RankTracker, rref
+from biquandles.linalg import (MODULAR_PRIME, ExactMatrix, FieldSpec, RankTracker,
+                               kernel_basis, rref)
 
 Q = FieldSpec.from_name("Q")
 F2 = FieldSpec.from_name("Zp:2")
 F3 = FieldSpec.from_name("Zp:3")
 F5 = FieldSpec.from_name("Zp:5")
+FBIG = FieldSpec(MODULAR_PRIME)
 FIELDS = [Q, F2, F3, F5]
 
 # Alexander tables (n, s, t) of orders 3-8, with s = t and s != t
@@ -92,11 +98,38 @@ def test_reduced_dims_mod_p(kishino_T):
 
 
 @pytest.mark.parametrize("n,s,t,reduced,unreduced", [
-    (7, 2, 3, 0, 1), (9, 2, 4, 0, 1), (10, 3, 7, 22, 28)])
+    (7, 2, 3, 0, 1), (9, 2, 4, 0, 1), (10, 3, 7, 22, 28), (13, 5, 8, 36, 43),
+    (17, 3, 6, 16, 19)])
 def test_alexander_h2_dimensions_over_q(n, s, t, reduced, unreduced):
     A = alexander_biquandle(n, s, t)
     assert len(reduced_cohomology_basis(A, Q)) == reduced
     assert len(cohomology_basis(A, Q)) == unreduced
+
+
+def test_elimination_work_pinned(monkeypatch):
+    # Entry updates made by linalg._axpy, the one row update of the
+    # elimination.  Feeding the cocycle rows top to bottom instead of by
+    # descending leading column fills the stored rows in: 486,973 here.
+    updates = 0
+    axpy = linalg._axpy
+
+    def counted(w, f, row, p):
+        nonlocal updates
+        updates += len(row)
+        axpy(w, f, row, p)
+
+    monkeypatch.setattr(linalg, "_axpy", counted)
+    assert reduced_cohomology_basis(alexander_biquandle(13, 2, 3), Q) == []
+    assert updates == 50390
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_cocycle_kernel_matches_dense_reference(n):
+    T = random_alexander(random.Random(n), n)
+    M = cocycle_matrix(T)
+    dense = M.data
+    for F in (Q, F2, F5, FBIG):
+        assert kernel_basis(M, F) == reference_kernel(dense, n * n, F), F.name()
 
 
 def test_unreduced_h2(kishino_T):
@@ -163,6 +196,22 @@ def test_universal_coefficients(tables):
         over_q = len(cohomology_basis(T, Q))
         for F in (F2, F3, F5):
             assert len(cohomology_basis(T, F)) >= over_q, f"{name} over {F.name()}"
+
+
+@pytest.mark.parametrize("n", [5, 8, 11, 13])
+def test_universal_coefficients_on_relabelled_tables(n):
+    # The same check on seeded Alexander tables nobody picked, in two
+    # labellings; relabelling must not move either dimension.
+    rng = random.Random(20261019 + n)
+    T = random_alexander(rng, n)
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    U = relabel(T, perm)
+    over_q = len(cohomology_basis(T, Q))
+    for F in [Q] + [FieldSpec(p) for p in (2, 3, 5, 7, 11, 13)]:
+        dims = len(cohomology_basis(T, F)), len(reduced_cohomology_basis(T, F))
+        assert dims == (len(cohomology_basis(U, F)), len(reduced_cohomology_basis(U, F)))
+        assert dims[0] >= over_q, F.name()
 
 
 def test_classify_random_sums(tables):

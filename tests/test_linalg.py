@@ -119,6 +119,47 @@ def test_sparse_elimination_matches_reference(F, seed):
         assert (not span_of(rows, F, n_cols).add(v)) == expected
 
 
+def raw_int_rows(rng: random.Random, F: FieldSpec, n_rows: int, n_cols: int) -> list[list]:
+    """Sparse random rows of raw integers, not reduced into F: negatives,
+    multiples of p and entries above p (p = MODULAR_PRIME over Q), with
+    zero rows and combinations of earlier rows mixed in."""
+    p = F.p or MODULAR_PRIME
+
+    def entry():
+        if rng.random() < 0.6:
+            return 0
+        return rng.choice((rng.randint(-9, 9), rng.randint(-3, 3) * p,
+                           rng.randint(1, 3) * p + rng.randint(-9, 9)))
+
+    rows: list[list] = []
+    for _ in range(n_rows):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append([0] * n_cols)
+        elif kind < 0.45 and len(rows) >= 2:
+            (a, b), f, g = rng.sample(rows, 2), rng.randint(-5, 5), rng.randint(-5, 5)
+            rows.append([f * x + g * y for x, y in zip(a, b)])
+        else:
+            rows.append([entry() for _ in range(n_cols)])
+    return rows
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=lambda F: F.name())
+@pytest.mark.parametrize("seed", SEEDS)
+def test_row_order_changes_no_result(F, seed):
+    # rref feeds rows by descending leading column, whatever order M has
+    # them in; the RREF and the canonical kernel basis must not notice.
+    rng = random.Random(1000 + seed)
+    n_rows, n_cols = rng.randint(1, 12), rng.randint(1, 10)
+    rows = raw_int_rows(rng, F, n_rows, n_cols)
+    want = reference_rref(rows, F), reference_kernel(rows, n_cols, F)
+    for _ in range(3):
+        rng.shuffle(rows)
+        M = ExactMatrix(n_rows, n_cols, [{c: x for c, x in enumerate(row) if x} for row in rows])
+        R, pivots = rref(M, F)
+        assert ((R.data, pivots), kernel_basis(M, F)) == want
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_modular_kernel_is_certified_on_integer_matrices(seed):
     rng = random.Random(seed)

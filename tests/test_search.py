@@ -6,7 +6,9 @@ import random
 
 import pytest
 
-from biquandles.core import (Biquandle, OpKind, alexander_biquandle,
+from conftest import relabel
+
+from biquandles.core import (OpKind, alexander_biquandle,
                              validate_biquandle, write_biquandle)
 from biquandles.search import (CONTRADICTION, PartialBiquandle, TableSearch,
                                axiom_instances, complete_partial,
@@ -289,17 +291,6 @@ def test_larger_blank_subset_still_finds_original(kishino_T):
     completions = complete_partial(P)
     assert kishino_T in completions
     assert all(validate_biquandle(T).ok for T in completions)
-
-
-def relabel(T, perm):
-    """T with every element x renamed perm[x - 1]."""
-    n = T.n
-    tables = [[[0] * n for _ in range(n)] for _ in range(4)]
-    for k in range(4):
-        for a in range(n):
-            for b in range(n):
-                tables[k][perm[a] - 1][perm[b] - 1] = perm[T.tables[k][a][b] - 1]
-    return Biquandle.from_tables(*tables)
 
 
 def orbit_census(found):
