@@ -25,13 +25,13 @@ H^2 never delay the refusal of a search over the candidate cap.
 All output is deterministic.  --jobs is accepted for compatibility and
 changes nothing: colorings run in one process.
 Each subcommand imports only the modules it uses, so start-up pays for no
-other subcommand.
+other subcommand.  Start-up imports neither dataclasses (the records are
+plain slotted classes, core.Record) nor, without --porcelain, json.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import warnings
@@ -48,6 +48,12 @@ def _positive_int(text: str) -> int:
 
 def _convention(text: str) -> BlockConvention:
     return BlockConvention.from_name(text)
+
+
+def _dump(obj, out) -> None:
+    """One line of JSON, for --porcelain; only then is json imported."""
+    import json
+    out.write(json.dumps(obj) + "\n")
 
 
 def _load(path: str, parse, *args):
@@ -86,8 +92,7 @@ def _cmd_validate(args, out):
     T = _load(args.biquandle, read_biquandle, args.block_convention)
     report = T.validation
     if args.porcelain:
-        out.write(json.dumps({"ok": report.ok,
-                              "failures": [list(f) for f in report.failures]}) + "\n")
+        _dump({"ok": report.ok, "failures": [list(f) for f in report.failures]}, out)
     else:
         out.write("ok\n" if report.ok else "invalid\n")
         for axiom, witness in report.failures:
@@ -141,7 +146,7 @@ def _cmd_cohomology(args, out):
         if result:
             payload["classification"] = {"kind": result.kind.value,
                                          "ri_reduced": result.ri_reduced}
-        out.write(json.dumps(payload) + "\n")
+        _dump(payload, out)
     else:
         out.write(f"reduced H^2 dimension {len(basis)} over {field.name()}\n")
         for k, phi in enumerate(basis, start=1):
@@ -163,8 +168,7 @@ def _cmd_colorings(args, out):
     _code, pres, survivors, shown = _checked_search(args, out, T)
     cols = scan_reduction(T, pres, survivors)
     if args.porcelain:
-        out.write(json.dumps({**shown, "count": len(cols),
-                              "colorings": [list(c) for c in cols]}) + "\n")
+        _dump({**shown, "count": len(cols), "colorings": [list(c) for c in cols]}, out)
         return 0
     if args.count_only:
         out.write(f"{len(cols)}\n")
@@ -183,7 +187,7 @@ def _cmd_invariant(args, out):
     code, _pres, _survivors, shown = _checked_search(args, out, T)
     value = yb_invariant(code, T, phi)
     if args.porcelain:
-        out.write(json.dumps({**shown, "terms": [[str(e), m] for e, m in value.terms]}) + "\n")
+        _dump({**shown, "terms": [[str(e), m] for e, m in value.terms]}, out)
     else:
         out.write(str(value) + "\n")
     return 0
@@ -202,7 +206,7 @@ def _cmd_suite(args, out):
                     "terms": [[str(e), m] for e, m in ms.terms]}
                    for phi, ms in results]
         # with the presentation, the list goes into one object beside it
-        out.write(json.dumps({**shown, "results": payload} if shown else payload) + "\n")
+        _dump({**shown, "results": payload} if shown else payload, out)
     else:
         for k, (phi, ms) in enumerate(results, start=1):
             out.write(f"phi[{k}]: {ms}\n")
@@ -300,7 +304,7 @@ def main(argv=None) -> int:
             # RecursionError: a word nested past the stack limit, should a step recurse on one
             print(f"error: {e}", file=sys.stderr)
             if args.porcelain:
-                print(json.dumps({"error": str(e)}))
+                _dump({"error": str(e)}, sys.stdout)
             return 1
 
 

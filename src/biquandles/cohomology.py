@@ -19,31 +19,32 @@ by such cocycles modulo coboundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .core import Biquandle, ParseError, kink_witnesses
+from .core import Biquandle, ParseError, Record, kink_witnesses, setfield
 from .linalg import ExactMatrix, FieldSpec, RankTracker, kernel_basis, matvec
 
 
-@dataclass(frozen=True)
-class Cochain1:
-    field: FieldSpec
-    coeffs: tuple
+class Cochain1(Record):
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: FieldSpec, coeffs: tuple):
+        setfield(self, "field", field)
+        setfield(self, "coeffs", coeffs)
 
     @property
     def n(self) -> int:
         return len(self.coeffs)
 
 
-@dataclass(frozen=True)
-class Cochain2:
-    field: FieldSpec
-    coeffs: tuple  # length n^2, index (x-1)*n + (y-1)
+class Cochain2(Record):
+    __slots__ = ("field", "coeffs")
 
-    def __post_init__(self):
+    def __init__(self, field: FieldSpec, coeffs: tuple):  # coeffs[(x-1)*n + (y-1)]
+        setfield(self, "field", field)
+        setfield(self, "coeffs", coeffs)
         if isqrt(len(self.coeffs)) ** 2 != len(self.coeffs):
             raise ValueError(f"{len(self.coeffs)} coefficients is not n^2 for any n")
 
@@ -203,10 +204,12 @@ class CochainClass(Enum):
     NONTRIVIAL_COCYCLE = "nontrivial-cocycle"
 
 
-@dataclass(frozen=True)
-class ClassifiedCochain:
-    kind: CochainClass
-    ri_reduced: bool
+class ClassifiedCochain(Record):
+    __slots__ = ("kind", "ri_reduced")
+
+    def __init__(self, kind: CochainClass, ri_reduced: bool):
+        setfield(self, "kind", kind)
+        setfield(self, "ri_reduced", ri_reduced)
 
 
 def classify_cochain(T: Biquandle, v: Cochain2) -> ClassifiedCochain:

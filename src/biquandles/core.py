@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property, lru_cache
+from operator import attrgetter
 
 
 class OpKind(IntEnum):
@@ -76,29 +76,79 @@ class SearchLimitError(RuntimeError):
     """A coloring search over more candidate assignments than the cap."""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+setfield = object.__setattr__  # how a frozen Record's __init__ stores a field
+
+
+class Record:
+    """Base of the value classes: a subclass's fields are its slots not
+    starting with "_".  Equal fields make equal records of one class, with
+    equal hashes; the repr reads Name(field=value, ...).  Unless declared
+    frozen=False, a record refuses to assign or delete a field, so its
+    __init__ stores each one with setfield.  This replaces dataclasses to
+    save start-up: every CLI command is a fresh process that creates each
+    class once, and dataclasses import inspect and ast, then exec six
+    generated methods per class, costing more than most commands compute.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, frozen: bool = True):
+        super().__init_subclass__()
+        own = tuple(s for s in cls.__dict__.get("__slots__", ()) if s[0] != "_")
+        cls._fields = cls.__match_args__ = cls._fields + own
+        cls._values = attrgetter(*cls._fields)
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = cls._refuse_write
+        else:
+            cls.__hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def _refuse_write(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen "
+                             f"{type(self).__name__}")
+
+
+class ValidationReport(Record):
     """Outcome of validate_biquandle: ok iff no axiom instance failed.
 
     failures holds (axiom id, witness tuple) pairs, sorted, capped at 100.
     """
 
-    ok: bool
-    failures: tuple[tuple[str, tuple[int, ...]], ...]
+    __slots__ = ("ok", "failures")
+
+    def __init__(self, ok: bool, failures: tuple[tuple[str, tuple[int, ...]], ...]):
+        setfield(self, "ok", ok)
+        setfield(self, "failures", failures)
 
 
-@dataclass(frozen=True)
-class Biquandle:
+class Biquandle(Record):
     """Operation tables over {1..n}; tables[k][a-1][b-1] = a op_k b.
 
     Immutable after construction.  Construction checks only shape and
     entry range; axiom validity is checked by validate_biquandle and
-    cached on first use.
+    cached on first use, in the instance __dict__.
     """
 
-    tables: tuple[tuple[tuple[int, ...], ...], ...]
+    __slots__ = ("tables", "__dict__")
 
-    def __post_init__(self):
+    def __init__(self, tables: tuple[tuple[tuple[int, ...], ...], ...]):
+        setfield(self, "tables", tables)
         if len(self.tables) != 4:
             raise ValueError("expected four operation tables")
         n = len(self.tables[0])

@@ -17,10 +17,9 @@ its successor wraps cyclically within the component.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 
-from .core import ParseError
+from .core import ParseError, Record, setfield
 
 
 class Role(Enum):
@@ -28,34 +27,42 @@ class Role(Enum):
     UNDER = "under"
 
 
-@dataclass(frozen=True)
-class GaussEntry:
-    """One crossing passage: renumbered crossing id, role, crossing sign."""
+class GaussEntry(Record):
+    """One crossing passage: renumbered crossing id, role, crossing sign (+1 or -1)."""
 
-    crossing: int
-    role: Role
-    sign: int  # +1 or -1
+    __slots__ = ("crossing", "role", "sign")
+
+    def __init__(self, crossing: int, role: Role, sign: int):
+        setfield(self, "crossing", crossing)
+        setfield(self, "role", role)
+        setfield(self, "sign", sign)
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(Record):
     """A crossing with its four incident semi-arcs (global numbers)."""
 
-    index: int
-    sign: int
-    under_in: int
-    over_in: int
-    under_out: int
-    over_out: int
+    __slots__ = ("index", "sign", "under_in", "over_in", "under_out", "over_out")
+
+    def __init__(self, index: int, sign: int, under_in: int, over_in: int,
+                 under_out: int, over_out: int):
+        setfield(self, "index", index)
+        setfield(self, "sign", sign)
+        setfield(self, "under_in", under_in)
+        setfield(self, "over_in", over_in)
+        setfield(self, "under_out", under_out)
+        setfield(self, "over_out", over_out)
 
 
-@dataclass(frozen=True)
-class GaussCode:
+class GaussCode(Record):
     """Validated, renumbered code: components of passages plus the renaming
     that maps original input ids to 1..n (first-occurrence order)."""
 
-    components: tuple[tuple[GaussEntry, ...], ...]
-    renaming: tuple[tuple[int, int], ...]
+    __slots__ = ("components", "renaming")
+
+    def __init__(self, components: tuple[tuple[GaussEntry, ...], ...],
+                 renaming: tuple[tuple[int, int], ...]):
+        setfield(self, "components", components)
+        setfield(self, "renaming", renaming)
 
     @property
     def n_crossings(self) -> int:

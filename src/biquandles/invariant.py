@@ -11,21 +11,22 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cohomology import Cochain2, is_cocycle, is_ri_reduced, reduced_cohomology_basis
 from .coloring import checked_search, scan_reduction
-from .core import Biquandle
+from .core import Biquandle, Record, setfield
 from .gauss import GaussCode, crossings_of
 from .linalg import FieldSpec
 
 
-@dataclass(frozen=True)
-class LaurentMultiset:
+class LaurentMultiset(Record):
     """Multiset of exponents of t, stored as exponent -> multiplicity."""
 
-    terms: tuple  # ((exponent, multiplicity), ...) sorted by exponent
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple):  # ((exponent, multiplicity), ...) sorted by exponent
+        setfield(self, "terms", terms)
 
     @staticmethod
     def from_exponents(exponents) -> "LaurentMultiset":
@@ -136,8 +137,9 @@ def yb_invariant_suite(code: GaussCode, T: Biquandle,
 def _suite_basis(T: Biquandle, field: FieldSpec) -> tuple[Cochain2, ...]:
     """reduced_cohomology_basis(T, field), kept for the suite's next call.
 
-    Biquandle and FieldSpec are frozen dataclasses, so equal tables read
-    from two files share one entry; the tuple and its frozen cocycles are
+    Biquandle and FieldSpec are frozen records that hash and compare by
+    their fields (the nested table tuples, the modulus), so equal tables
+    read from two files share one entry; the tuple and its frozen cocycles are
     safe to hand to every caller.  The size bound keeps a process that
     walks many tables from holding every basis it ever computed.
     """

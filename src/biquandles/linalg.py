@@ -26,9 +26,10 @@ Fraction elimination, so no result depends on the prime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
+
+from .core import Record, setfield
 
 # Miller-Rabin with the first twelve prime bases is a proof of primality
 # below this bound (Y. Jiang and Y. Deng, "Strong pseudoprimes to the first
@@ -65,13 +66,13 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record):
     """The rationals (p None) or the prime field of order p."""
 
-    p: int | None = None
+    __slots__ = ("p",)
 
-    def __post_init__(self):
+    def __init__(self, p: int | None = None):
+        setfield(self, "p", p)
         if self.p is not None and not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
@@ -135,17 +136,19 @@ class FieldSpec:
 QQ = FieldSpec()
 
 
-@dataclass
-class ExactMatrix:
+class ExactMatrix(Record, frozen=False):
     """Sparse matrix with exact entries: entries[i] maps the column
     (0-based) of every nonzero entry of row i to its value.  Entries are
     field elements or integers: the elimination (rref, kernel_basis)
     coerces them into its field, and matvec's field arithmetic takes
     integers as they are."""
 
-    rows: int
-    cols: int
-    entries: list[dict]
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: list[dict]):
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
 
     @staticmethod
     def from_rows(rows: list, field: FieldSpec) -> "ExactMatrix":

@@ -19,39 +19,46 @@ read them.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
-from .core import Biquandle, OpKind
+from .core import Biquandle, OpKind, Record, setfield
 from .gauss import GaussCode, crossings_of
 
 
-@dataclass(frozen=True)
-class Gen:
-    index: int
+class Gen(Record):
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        setfield(self, "index", index)
 
 
-@dataclass(frozen=True)
-class OpWord:
-    kind: OpKind
-    left: "Word"
-    right: "Word"
+class OpWord(Record):
+    __slots__ = ("kind", "left", "right")
+
+    def __init__(self, kind: OpKind, left: Word, right: Word):
+        setfield(self, "kind", kind)
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
 Word = "Gen | OpWord"
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Record):
     """lhs word = isolated generator."""
 
-    lhs: "Word"
-    rhs: int
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Word, rhs: int):
+        setfield(self, "lhs", lhs)
+        setfield(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class Presentation:
-    generators: tuple[int, ...]
-    relations: tuple[Relation, ...]
+class Presentation(Record):
+    __slots__ = ("generators", "relations")
+
+    def __init__(self, generators: tuple[int, ...], relations: tuple[Relation, ...]):
+        setfield(self, "generators", generators)
+        setfield(self, "relations", relations)
 
 
 def _leaf_counts(w) -> dict[int, int]:

@@ -35,21 +35,22 @@ Artif. Intell. 14 (1980)).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (AXIOM_PAIR_EQS, AXIOM_TRIPLE_EQS, Biquandle, OpKind,
-                   compile_sides, existential_failures, place_variables,
-                   write_biquandle)
+                   Record, compile_sides, existential_failures,
+                   place_variables, write_biquandle)
 
 Cell = tuple[OpKind, int, int]  # (table, row element, column element), 1-based
 
 
-@dataclass
-class PartialBiquandle:
+class PartialBiquandle(Record, frozen=False):
     """Four n x n tables with 0 marking a blank cell."""
 
-    tables: list[list[list[int]]]
+    __slots__ = ("tables",)
+
+    def __init__(self, tables: list[list[list[int]]]):
+        self.tables = tables
 
     @staticmethod
     def blank(n: int) -> "PartialBiquandle":

@@ -1,6 +1,8 @@
 """End-to-end command-line behavior via main() plus the module entry point."""
 
 import json
+import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -583,3 +585,32 @@ def test_subcommand_loads_only_its_modules(data_dir, tmp_path, argv, loaded):
     assert done.stderr == ""
     expected = sorted(f"biquandles.{m}" for m in loaded | {"cli"})
     assert done.stdout == f"0 {expected}\n"
+
+
+def test_startup_imports_no_dataclasses_and_json_only_for_porcelain(data_dir):
+    # one fresh interpreter runs every computing subcommand: record classes
+    # are created without dataclasses (which pulls in inspect), and json is
+    # imported by the first --porcelain run, not before
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    runs = [["validate", "--biquandle", BQ],
+            ["alexander", "5", "2", "3"],
+            ["cohomology", "--field", "Zp:7", "--biquandle", BQ],
+            ["colorings", "--count-only", "--code", "data/conway.gauss", "--biquandle", BQ],
+            ["invariant", "--code", "data/kishino.gauss", "--biquandle", BQ,
+             "--cocycle", "data/phi1.cyc"],
+            ["suite", "--code", "data/kishino.gauss", "--biquandle", BQ]]
+    script = ("import sys, contextlib, io\n"
+              "from biquandles.cli import main\n"
+              "def loaded():\n"
+              "    return [m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules]\n"
+              f"for argv in {runs!r}:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert main(argv) == 0, argv\n"
+              "    print(argv[0], loaded())\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    main(['validate', '--porcelain', '--biquandle', {BQ!r}])\n"
+              "print('porcelain', loaded())\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          cwd=data_dir.parent, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.stderr == ""
+    assert done.stdout == "".join(f"{argv[0]} []\n" for argv in runs) + "porcelain ['json']\n"

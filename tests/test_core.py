@@ -1,6 +1,8 @@
+import copy
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -354,3 +356,105 @@ def test_block_convention_from_name():
     assert BlockConvention.from_name("listing") is BlockConvention.LISTING
     with pytest.raises(ValueError):
         BlockConvention.from_name("rowmajor")
+
+
+# --- records ------------------------------------------------------------------
+#
+# Every value class is a core.Record with its own __init__.  Records compare
+# and hash by their fields and show as Name(field=value, ...); all but the
+# two tables filled in place are frozen.
+
+def _records():
+    from biquandles.cohomology import ClassifiedCochain, Cochain1, Cochain2, CochainClass
+    from biquandles.gauss import Crossing, GaussCode, GaussEntry, Role
+    from biquandles.invariant import LaurentMultiset
+    from biquandles.linalg import ExactMatrix, FieldSpec
+    from biquandles.presentation import Gen, OpWord, Presentation, Relation
+    from biquandles.search import PartialBiquandle
+    over, under = GaussEntry(1, Role.OVER, 1), GaussEntry(1, Role.UNDER, 1)
+    return [  # (class, positional arguments, the dataclass repr)
+        (ValidationReport, (False, (("1.i", (1, 1)),)),
+         "ValidationReport(ok=False, failures=(('1.i', (1, 1)),))"),
+        (Biquandle, (ONE.tables,), "Biquandle(tables=(((1,),), ((1,),), ((1,),), ((1,),)))"),
+        (GaussEntry, (1, Role.OVER, -1),
+         "GaussEntry(crossing=1, role=<Role.OVER: 'over'>, sign=-1)"),
+        (Crossing, (1, 1, 2, 3, 4, 1),
+         "Crossing(index=1, sign=1, under_in=2, over_in=3, under_out=4, over_out=1)"),
+        (GaussCode, (((over, under),), ((5, 1),)),
+         "GaussCode(components=((GaussEntry(crossing=1, role=<Role.OVER: 'over'>, sign=1), "
+         "GaussEntry(crossing=1, role=<Role.UNDER: 'under'>, sign=1)),), renaming=((5, 1),))"),
+        (Gen, (3,), "Gen(index=3)"),
+        (OpWord, (OpKind.UPBAR, Gen(1), Gen(2)),
+         "OpWord(kind=<OpKind.UPBAR: 2>, left=Gen(index=1), right=Gen(index=2))"),
+        (Relation, (Gen(1), 2), "Relation(lhs=Gen(index=1), rhs=2)"),
+        (Presentation, ((1, 2), (Relation(Gen(1), 2),)),
+         "Presentation(generators=(1, 2), relations=(Relation(lhs=Gen(index=1), rhs=2),))"),
+        (FieldSpec, (7,), "FieldSpec(p=7)"),
+        (ExactMatrix, (1, 2, [{0: 1}]), "ExactMatrix(rows=1, cols=2, entries=[{0: 1}])"),
+        (Cochain1, (FieldSpec(), (Fraction(1), Fraction(-1, 2))),
+         "Cochain1(field=FieldSpec(p=None), coeffs=(Fraction(1, 1), Fraction(-1, 2)))"),
+        (Cochain2, (FieldSpec(5), (1, 0, 0, 4)),
+         "Cochain2(field=FieldSpec(p=5), coeffs=(1, 0, 0, 4))"),
+        (ClassifiedCochain, (CochainClass.COBOUNDARY, True),
+         "ClassifiedCochain(kind=<CochainClass.COBOUNDARY: 'coboundary'>, ri_reduced=True)"),
+        (LaurentMultiset, (((-1, 2), (0, 4)),), "LaurentMultiset(terms=((-1, 2), (0, 4)))"),
+        (PartialBiquandle, ([[[0]], [[1]], [[0]], [[1]]],),
+         "PartialBiquandle(tables=[[[0]], [[1]], [[0]], [[1]]])"),
+    ]
+
+
+RECORDS = _records()
+MUTABLE_RECORDS = {"ExactMatrix", "PartialBiquandle"}
+
+
+@pytest.mark.parametrize("cls, args, shown", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_record_semantics(cls, args, shown):
+    a, b = cls(*args), cls(*copy.deepcopy(args))
+    assert a == b and not a != b
+    assert repr(a) == shown
+    assert cls(**dict(zip(cls._fields, args))) == a
+    frozen = cls.__name__ not in MUTABLE_RECORDS
+    twin = type("Twin", (cls,), {"__slots__": ()}, frozen=frozen)(*args)
+    assert a != twin and twin != a
+    assert a != args and a.__eq__(args) is NotImplemented
+    assert copy.copy(a) == a
+    if not frozen:
+        assert cls.__hash__ is None
+        with pytest.raises(TypeError):
+            hash(a)
+        return
+    assert hash(a) == hash(b)
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b and repr(a) == shown
+
+
+def test_record_fields_and_errors():
+    from biquandles.cohomology import Cochain1, Cochain2
+    from biquandles.linalg import FieldSpec
+    assert FieldSpec() == FieldSpec(p=None) and FieldSpec().is_rational
+    assert Cochain1(FieldSpec(), (1, 2, 3, 4)) != Cochain2(FieldSpec(), (1, 2, 3, 4))
+    with pytest.raises(ValueError, match="four"):
+        Biquandle(ONE.tables[:3])
+    with pytest.raises(ValueError, match="n x n"):
+        Biquandle((((1, 1),),) * 4)
+    with pytest.raises(ValueError, match="outside"):
+        Biquandle((((2,),),) * 4)
+    with pytest.raises(ValueError, match="n\\^2"):
+        Cochain2(FieldSpec(), (1, 2, 3))
+    with pytest.raises(ValueError, match="not prime"):
+        FieldSpec(4)
+
+
+def test_validation_runs_once_per_table(monkeypatch):
+    import biquandles.core as core
+    calls = []
+    real = core.validate_biquandle
+    monkeypatch.setattr(core, "validate_biquandle", lambda T: calls.append(T) or real(T))
+    T = Biquandle(ONE.tables)
+    assert T.validation.ok and T.is_valid and T.validation is T.validation
+    assert len(calls) == 1
+    assert Biquandle(ONE.tables).is_valid and len(calls) == 2
