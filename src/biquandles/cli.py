@@ -18,10 +18,12 @@ stdout.  A warning prints as one "warning: <message>" line to stderr, when
 it is raised.  With --porcelain, --show-presentation adds "presentation"
 and "reduced" lists of lines to the JSON object (suite's list goes under
 "results"), and cohomology --classify (read with the table) adds
-"classification".  The code subcommands take one path from --code to a
-search: load the files, then coloring.checked_search, then show the
-presentation, then compute; so a large table's n^3 validation and suite's
-H^2 never delay the refusal of a search over the candidate cap.
+"classification".  alexander and enumerate print the same text with
+--porcelain as without it; only their domain errors become JSON.  The
+code subcommands take one path from --code to a search: load the files,
+then coloring.checked_search, then show the presentation, then compute;
+so a large table's n^3 validation and suite's H^2 never delay the
+refusal of a search over the candidate cap.
 All output is deterministic.  --jobs is accepted for compatibility and
 changes nothing: colorings run in one process.
 Each subcommand imports only the modules it uses, so start-up pays for no

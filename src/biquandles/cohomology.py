@@ -73,8 +73,9 @@ def zero_cochain(n: int, field: FieldSpec) -> Cochain2:
 def cocycle_matrix(T: Biquandle) -> ExactMatrix:
     """n^3 x n^2 integer matrix of the cocycle condition (the coboundary
     map on 2-cochains over Z), one sparse row per triple (x, y, z) in
-    lexicographic order; contributions accumulate.  The int entries go into
-    any field by FieldSpec.coerce, into GF(p) by one remainder."""
+    lexicographic order; contributions accumulate.  The elimination takes
+    the int entries into GF(p) by one remainder each, and over Q as they
+    are, since it runs on integer rows there."""
     n = T.n
     up, down = T.tables[0], T.tables[1]  # 0-based rows of 1-based elements
     rows = []

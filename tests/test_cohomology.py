@@ -17,14 +17,13 @@ from biquandles.cohomology import (Cochain1, Cochain2, ClassifiedCochain, Cochai
                                    ri_constraint_pairs, write_cochain,
                                    zero_cochain)
 from biquandles.core import ParseError, alexander_biquandle
-from biquandles.linalg import (MODULAR_PRIME, ExactMatrix, FieldSpec, RankTracker,
-                               kernel_basis, rref)
+from biquandles.linalg import ExactMatrix, FieldSpec, RankTracker, kernel_basis, rref
 
 Q = FieldSpec.from_name("Q")
 F2 = FieldSpec.from_name("Zp:2")
 F3 = FieldSpec.from_name("Zp:3")
 F5 = FieldSpec.from_name("Zp:5")
-FBIG = FieldSpec(MODULAR_PRIME)
+FBIG = FieldSpec(2 ** 61 - 1)
 FIELDS = [Q, F2, F3, F5]
 
 # Alexander tables (n, s, t) of orders 3-8, with s = t and s != t
@@ -107,20 +106,25 @@ def test_alexander_h2_dimensions_over_q(n, s, t, reduced, unreduced):
 
 
 def test_elimination_work_pinned(monkeypatch):
-    # Entry updates made by linalg._axpy, the one row update of the
-    # elimination.  Feeding the cocycle rows top to bottom instead of by
-    # descending leading column fills the stored rows in: 486,973 here.
-    updates = 0
-    axpy = linalg._axpy
+    # Entry updates made by the one row update of the elimination in each
+    # field: linalg._combine(a, w, b, row) over Q, linalg._axpy(w, f, row, p)
+    # over GF(p).  Feeding the cocycle rows top to bottom instead of by
+    # descending leading column fills the stored rows in: 486,973 over Q.
+    A = alexander_biquandle(13, 2, 3)
+    for F, name, row_arg, pin in ((Q, "_combine", 3, 50390), (FieldSpec(13), "_axpy", 2, 57537),
+                                  (F2, "_axpy", 2, 28224)):
+        updates = 0
+        update = getattr(linalg, name)
 
-    def counted(w, f, row, p):
-        nonlocal updates
-        updates += len(row)
-        axpy(w, f, row, p)
+        def counted(*args):
+            nonlocal updates
+            updates += len(args[row_arg])
+            update(*args)
 
-    monkeypatch.setattr(linalg, "_axpy", counted)
-    assert reduced_cohomology_basis(alexander_biquandle(13, 2, 3), Q) == []
-    assert updates == 50390
+        with monkeypatch.context() as m:
+            m.setattr(linalg, name, counted)
+            assert reduced_cohomology_basis(A, F) == []
+        assert updates == pin, F.name()
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -207,11 +211,15 @@ def test_universal_coefficients_on_relabelled_tables(n):
     perm = list(range(1, n + 1))
     rng.shuffle(perm)
     U = relabel(T, perm)
-    over_q = len(cohomology_basis(T, Q))
-    for F in [Q] + [FieldSpec(p) for p in (2, 3, 5, 7, 11, 13)]:
+    over_q = len(cohomology_basis(T, Q)), len(reduced_cohomology_basis(T, Q))
+    for F in [Q] + [FieldSpec(p) for p in (2, 3, 5, 7, 11, 13)] + [FBIG]:
         dims = len(cohomology_basis(T, F)), len(reduced_cohomology_basis(T, F))
         assert dims == (len(cohomology_basis(U, F)), len(reduced_cohomology_basis(U, F)))
-        assert dims[0] >= over_q, F.name()
+        assert dims[0] >= over_q[0], F.name()
+        if F is FBIG:
+            # no torsion of these tables has order 2^61 - 1, so the GF(p)
+            # elimination must give Q's dimensions, reduced ones included
+            assert dims == over_q
 
 
 def test_classify_random_sums(tables):

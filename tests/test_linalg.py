@@ -3,13 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from biquandles.linalg import (MODULAR_PRIME, QQ, ExactMatrix, FieldSpec,
-                               _MR_BOUND, RankTracker, _is_prime,
-                               _modular_kernel_basis, kernel_basis, matvec, rref)
+from biquandles.linalg import (QQ, ExactMatrix, FieldSpec, _MR_BOUND, RankTracker,
+                               _is_prime, kernel_basis, matvec, rref)
 
 F2 = FieldSpec(2)
 F5 = FieldSpec(5)
-FBIG = FieldSpec(MODULAR_PRIME)
+FBIG = FieldSpec(2 ** 61 - 1)
 
 
 # -- dense reference ----------------------------------------------------------
@@ -121,9 +120,9 @@ def test_sparse_elimination_matches_reference(F, seed):
 
 def raw_int_rows(rng: random.Random, F: FieldSpec, n_rows: int, n_cols: int) -> list[list]:
     """Sparse random rows of raw integers, not reduced into F: negatives,
-    multiples of p and entries above p (p = MODULAR_PRIME over Q), with
+    multiples of p and entries above p (p = 2^61 - 1 over Q), with
     zero rows and combinations of earlier rows mixed in."""
-    p = F.p or MODULAR_PRIME
+    p = F.p or 2 ** 61 - 1
 
     def entry():
         if rng.random() < 0.6:
@@ -162,32 +161,33 @@ def test_row_order_changes_no_result(F, seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_modular_kernel_is_certified_on_integer_matrices(seed):
+    # The kernel over Q of a small integer matrix with a dependent row is
+    # the dense reference's, exactly.
     rng = random.Random(seed)
     n_rows, n_cols = rng.randint(1, 8), rng.randint(2, 9)
     rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 7)) for _ in range(n_cols)]
             for _ in range(n_rows)]
     rows.append([sum(r[c] for r in rows) for c in range(n_cols)])  # a dependent row
     M = ExactMatrix.from_rows(rows, QQ)
-    expected = reference_kernel(rows, n_cols, QQ)
-    assert _modular_kernel_basis(M) == expected
-    assert kernel_basis(M, QQ) == expected
+    assert kernel_basis(M, QQ) == reference_kernel(rows, n_cols, QQ)
 
 
 def test_modular_kernel_lifts_fractions():
+    # An integer matrix whose kernel vector has non-integer entries.
     rows = [[2, 1, 0], [0, 3, 1]]
-    basis = _modular_kernel_basis(ExactMatrix.from_rows(rows, QQ))
+    basis = kernel_basis(ExactMatrix.from_rows(rows, QQ), QQ)
     assert basis == [(Fraction(1, 6), Fraction(-1, 3), 1)]
     assert basis == reference_kernel(rows, 3, QQ)
 
 
 @pytest.mark.parametrize("rows", [
-    [[2 ** 40 + 1, 1]],                   # -1/(2^40+1) has no small reconstruction
-    [[MODULAR_PRIME, 0], [0, 1]],         # rank 2 over Q, 1 mod the prime
-    [[1, 1], [1, 1 + MODULAR_PRIME]],     # (-1, 1) is a kernel vector only mod the prime
+    [[2 ** 40 + 1, 1]],                   # a kernel entry -1/(2^40+1)
+    [[2 ** 61 - 1, 0], [0, 1]],           # rank 2 over Q, 1 mod 2^61 - 1
+    [[1, 1], [1, 1 + 2 ** 61 - 1]],       # (-1, 1) is a kernel vector only mod 2^61 - 1
 ])
 def test_modular_kernel_falls_back_to_exact(rows):
+    # Large integer entries, and answers over Q that no prime may change.
     M = ExactMatrix.from_rows(rows, QQ)
-    assert _modular_kernel_basis(M) is None
     assert kernel_basis(M, QQ) == reference_kernel(rows, len(rows[0]), QQ)
 
 
