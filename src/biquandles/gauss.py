@@ -178,24 +178,19 @@ def crossings_of(code: GaussCode) -> list[Crossing]:
     Semi-arc k ends at passage k; its successor is k+1 wrapping at the
     component boundary.
     """
-    passages: dict[int, dict[Role, tuple[int, int]]] = {}
+    # keyed by crossing id alone: hashing a Role member is a Python-level call
+    under: dict[int, tuple[int, int]] = {}
+    over: dict[int, tuple[int, int]] = {}
     signs: dict[int, int] = {}
     pos = 1
     for comp in code.components:
         size = len(comp)
         for i, e in enumerate(comp):
-            arc_in = pos + i
-            arc_out = pos + (i + 1) % size
-            passages.setdefault(e.crossing, {})[e.role] = (arc_in, arc_out)
-            signs.setdefault(e.crossing, e.sign)
+            (under if e.role is Role.UNDER else over)[e.crossing] = (pos + i, pos + (i + 1) % size)
+            signs[e.crossing] = e.sign
         pos += max(size, 1)
-
-    out = []
-    for cid in sorted(passages):
-        u_in, u_out = passages[cid][Role.UNDER]
-        o_in, o_out = passages[cid][Role.OVER]
-        out.append(Crossing(cid, signs[cid], u_in, o_in, u_out, o_out))
-    return out
+    return [Crossing(cid, signs[cid], under[cid][0], over[cid][0], under[cid][1], over[cid][1])
+            for cid in sorted(signs)]
 
 
 def insert_r_move(code: GaussCode, move: str, site, *, under_first: bool = False) -> GaussCode:

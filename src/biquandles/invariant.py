@@ -5,6 +5,10 @@ cocycle values: +phi(under_in, over_in) at a positive crossing and
 -phi(under_out, over_out) at a negative one, undercrossing color first.
 The invariant is the multiset of these sums, read as exponents of t; the
 zero cocycle recovers the counting invariant as N * t^0.
+
+The sums run on ints: each cocycle is scaled once, over Q by the lcm m of
+its coefficients' denominators (1 for a reduced basis cocycle), and each
+coloring's sum s becomes Fraction(s, m) over Q or s % p over Z_p.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import functools
 import warnings
 from fractions import Fraction
+from math import lcm
 
 from .cohomology import Cochain2, is_cocycle, is_ri_reduced, reduced_cohomology_basis
 from .coloring import checked_search, scan_reduction
@@ -58,19 +63,24 @@ class LaurentMultiset(Record):
         return " + ".join(parts)
 
 
-def _state_sum(crossings, n: int, phi: Cochain2, coloring) -> object:
-    """Reads phi(x, y) at coeffs[(x - 1) * n + (y - 1)], with n given once:
-    Cochain2.value would recompute n on every lookup."""
-    F, coeffs = phi.field, phi.coeffs
-    total = F.zero()
-    for x in crossings:
-        if x.sign > 0:
-            total = F.add(total, coeffs[(coloring[x.under_in - 1] - 1) * n
-                                        + coloring[x.over_in - 1] - 1])
-        else:
-            total = F.sub(total, coeffs[(coloring[x.under_out - 1] - 1) * n
-                                        + coloring[x.over_out - 1] - 1])
-    return total
+def _state_sums(crossings, n: int, cocycles, colorings) -> list[list]:
+    """Per cocycle, the state sum of each coloring.  A cocycle's int table
+    holds m * phi(x, y) at x * n + y, then its negated copy, so one index
+    per crossing, read once per coloring for all cocycles, carries its sign."""
+    reads = [(x.under_in - 1, x.over_in - 1, 0) if x.sign > 0 else
+             (x.under_out - 1, x.over_out - 1, n * n + n + 1) for x in crossings]
+    indices = [[col[a] * n + col[b] + off for a, b, off in reads] for col in colorings]
+    out = []
+    for phi in cocycles:
+        p, coeffs = phi.field.p, phi.coeffs
+        if not p:
+            m = lcm(*[c.denominator for c in coeffs])
+            coeffs = [c.numerator * (m // c.denominator) for c in coeffs]
+        table = [0] * (n + 1) + list(coeffs)
+        table += [-v for v in table]
+        sums = [sum(map(table.__getitem__, at)) for at in indices]
+        out.append([s % p for s in sums] if p else [Fraction(s, m) for s in sums])
+    return out
 
 
 def _check_size(T: Biquandle, phi: Cochain2) -> None:
@@ -79,24 +89,22 @@ def _check_size(T: Biquandle, phi: Cochain2) -> None:
 
 
 def boltzmann_sum(code: GaussCode, T: Biquandle, phi: Cochain2, coloring) -> object:
-    """Signed sum of cocycle values over the crossings of one coloring.
-
-    coloring is indexable by semi-arc - 1 (as returned by
-    enumerate_colorings).  Errors if phi is over another number of
-    elements than T.
+    """Signed sum of cocycle values over the crossings of one coloring,
+    summed on ints with phi scaled as the module docstring says: a Fraction
+    over Q, an int in 0..p-1 over Z_p.  coloring is indexable by semi-arc - 1
+    (as returned by enumerate_colorings).  Errors if phi is over another
+    number of elements than T.
     """
     _check_size(T, phi)
-    return _state_sum(crossings_of(code), T.n, phi, coloring)
+    return _state_sums(crossings_of(code), T.n, [phi], [coloring])[0][0]
 
 
 def _invariants(code: GaussCode, T: Biquandle, reduction, cocycles) -> list[LaurentMultiset]:
     """The state-sum invariant of each cocycle, from one scan of the
     colorings over reduction = (presentation, survivors); no checks."""
     colorings = scan_reduction(T, *reduction)
-    crossings, n = crossings_of(code), T.n
-    return [LaurentMultiset.from_exponents(
-                _state_sum(crossings, n, phi, c) for c in colorings)
-            for phi in cocycles]
+    return [LaurentMultiset.from_exponents(sums)
+            for sums in _state_sums(crossings_of(code), T.n, cocycles, colorings)]
 
 
 def yb_invariant(code: GaussCode, T: Biquandle, phi: Cochain2) -> LaurentMultiset:

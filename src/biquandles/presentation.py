@@ -118,15 +118,15 @@ def format_presentation(p: Presentation) -> str:
 def knot_presentation(code: GaussCode) -> Presentation:
     """Generators 1..N (semi-arcs) and one relation per crossing passage,
     listed in order of the incoming semi-arc."""
+    generators = tuple(range(1, code.n_semi_arcs + 1))
+    gen = (None, *map(Gen, generators))  # one Gen per semi-arc, shared by the words
     by_arc: dict[int, Relation] = {}
     for x in crossings_of(code):
         up_kind = OpKind.UP if x.sign > 0 else OpKind.UPBAR
         down_kind = OpKind.DOWN if x.sign > 0 else OpKind.DOWNBAR
-        by_arc[x.under_in] = Relation(OpWord(up_kind, Gen(x.under_in), Gen(x.over_in)),
-                                      x.under_out)
-        by_arc[x.over_in] = Relation(OpWord(down_kind, Gen(x.over_in), Gen(x.under_in)),
-                                     x.over_out)
-    generators = tuple(range(1, code.n_semi_arcs + 1))
+        under, over = gen[x.under_in], gen[x.over_in]
+        by_arc[x.under_in] = Relation(OpWord(up_kind, under, over), x.under_out)
+        by_arc[x.over_in] = Relation(OpWord(down_kind, over, under), x.over_out)
     return Presentation(generators, tuple(by_arc[a] for a in sorted(by_arc)))
 
 
@@ -141,16 +141,20 @@ def eliminate(p: Presentation, max_nodes: int = NODE_BUDGET
     Each round eliminates the first relation, in listed order, whose
     isolated generator does not occur in its word.  (On knot presentations,
     listed order means ascending incoming semi-arc; this order reproduces
-    published reductions.)  Substituting the word of g for its k
-    occurrences adds k times g's counts, and a word of L leaves has 2L - 1
-    nodes.  If total word size exceeds max_nodes, it stops with a warning.
+    published reductions.)  A word that reads its own generator always
+    will, so one pass in listed order makes the same picks.  Substituting
+    the word of g for its k occurrences adds k times g's counts, and a word
+    of L leaves has 2L - 1 nodes.  If total word size exceeds max_nodes, it
+    stops with a warning.
     """
     leaves = {r.rhs: _leaf_counts(r.lhs) for r in p.relations}
     if len(leaves) != len(p.relations):
         raise ValueError("isolated generators must be distinct")
     total = sum(2 * sum(c.values()) - 1 for c in leaves.values())
     order: list[int] = []
-    while (g := next((g for g, c in leaves.items() if g not in c), None)) is not None:
+    for g in list(leaves):
+        if g in leaves[g]:
+            continue
         sub = leaves.pop(g)
         order.append(g)
         size = sum(sub.values())

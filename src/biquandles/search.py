@@ -139,9 +139,9 @@ class Engine:
         A side evaluates to r: its value 1..n; ~s if it is blocked only at
         its outermost read, blank slot s; n + 1 + s if blocked deeper, at
         blank slot s.  A blocked side q goes on the watch list of its
-        blocking slot.  Then, with r2 the other side: two values must agree,
-        and a value against a side blocked at its outermost read fills
-        that slot.
+        blocking slot; blocked deeper, it needs no other side.  Otherwise,
+        with r2 the other side: two values must agree, and a value against
+        a side blocked at its outermost read fills that slot.
         """
         val = self.val
         n = self.n
@@ -176,7 +176,8 @@ class Engine:
                     s = r - deep
                     watch[s].append(q)
                     trail.append(~s)
-                elif r < 0:
+                    continue
+                if r < 0:
                     watch[~r].append(q)
                     trail.append(r)
                 steps, out = sides[q ^ 1]
@@ -197,7 +198,7 @@ class Engine:
                     val[t] = w
                 else:
                     r2 = val[out] or ~out
-                if 0 < r <= n:
+                if r > 0:
                     if 0 < r2 <= n:
                         if r != r2:
                             queue.clear()

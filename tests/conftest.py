@@ -99,6 +99,23 @@ def random_code():
     return make_random_code
 
 
+def reference_state_sum(crossings, n: int, phi, coloring):
+    """The state sum of one coloring in the cocycle's field arithmetic, one
+    crossing at a time: +phi(under_in, over_in) at a positive crossing,
+    -phi(under_out, over_out) at a negative one.  The package sums on
+    scaled ints instead and must agree, exponent types included."""
+    F, coeffs = phi.field, phi.coeffs
+    total = F.zero()
+    for x in crossings:
+        if x.sign > 0:
+            total = F.add(total, coeffs[(coloring[x.under_in - 1] - 1) * n
+                                        + coloring[x.over_in - 1] - 1])
+        else:
+            total = F.sub(total, coeffs[(coloring[x.under_out - 1] - 1) * n
+                                        + coloring[x.over_out - 1] - 1])
+    return total
+
+
 class LeafSearch(TableSearch):
     """A table search that keeps every complete table it reaches."""
 

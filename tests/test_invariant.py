@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import reference_state_sum
 
 from biquandles import cohomology, core, invariant
 from biquandles.cohomology import (Cochain1, Cochain2, coboundary_of,
@@ -11,8 +12,8 @@ from biquandles.cohomology import (Cochain1, Cochain2, coboundary_of,
                                    reduced_cohomology_basis, zero_cochain)
 from biquandles.core import (Biquandle, BlockConvention, SearchLimitError, alexander_biquandle,
                              read_biquandle)
-from biquandles.coloring import counting_invariant
-from biquandles.gauss import insert_r_move
+from biquandles.coloring import checked_search, counting_invariant, enumerate_colorings
+from biquandles.gauss import crossings_of, insert_r_move
 from biquandles.invariant import LaurentMultiset, boltzmann_sum, yb_invariant, yb_invariant_suite
 from biquandles.linalg import FieldSpec
 
@@ -210,6 +211,56 @@ def test_boltzmann_sum_of_constant_coloring(kishino_code, kishino_T, phi1, phi2)
     ones = (1,) * kishino_code.n_semi_arcs
     assert boltzmann_sum(kishino_code, kishino_T, phi1, ones) == 0
     assert boltzmann_sum(kishino_code, kishino_T, phi2, ones) == 0
+
+
+# --- the int sums against field arithmetic ----------------------------------
+
+
+def _typed(values):
+    return [(type(v), v) for v in values]
+
+
+@pytest.fixture(scope="module")
+def summed_cocycles(kishino_T, phi1):
+    """(table, cocycles) pairs whose sums take every scaling: kishinoT's
+    basis over Q (m = 1), phi1 over 2 and over 3 (m = 2, 3), A(5,2,3)'s
+    basis over Z5 and kishinoT's over Z2."""
+    A = alexander_biquandle(5, 2, 3)
+    return [(kishino_T, reduced_cohomology_basis(kishino_T, Q)),
+            (kishino_T, [Cochain2(Q, tuple(c / k for c in phi1.coeffs)) for k in (2, 3)]),
+            (A, reduced_cohomology_basis(A, F5)),
+            (kishino_T, reduced_cohomology_basis(kishino_T, FieldSpec(2)))]
+
+
+def _seeded_codes(random_code):
+    rng = random.Random(23)
+    return [random_code(rng, rng.randint(2, 7), 1 + i % 3) for i in range(12)]
+
+
+def test_state_sums_match_field_arithmetic(summed_cocycles, random_code):
+    # One scan serves all the cocycles of a pair, as in the suite.  Equal
+    # terms in the same order, exponent types included: Fraction over Q,
+    # an int in 0..p-1 over Z_p.
+    for code in _seeded_codes(random_code):
+        crossings = crossings_of(code)
+        for T, cocycles in summed_cocycles:
+            colorings = enumerate_colorings(code, T)
+            got = invariant._invariants(code, T, checked_search(code, T), cocycles)
+            for phi, value in zip(cocycles, got, strict=True):
+                want = LaurentMultiset.from_exponents(
+                    reference_state_sum(crossings, T.n, phi, c) for c in colorings)
+                assert [(type(e), e, m) for e, m in value.terms] == \
+                    [(type(e), e, m) for e, m in want.terms]
+
+
+def test_boltzmann_sum_matches_field_arithmetic(summed_cocycles, random_code):
+    for code in _seeded_codes(random_code)[:6]:
+        crossings = crossings_of(code)
+        for T, cocycles in summed_cocycles:
+            for phi in cocycles:
+                colorings = enumerate_colorings(code, T)
+                assert _typed(boltzmann_sum(code, T, phi, c) for c in colorings) == \
+                    _typed(reference_state_sum(crossings, T.n, phi, c) for c in colorings)
 
 
 # --- input checking ---------------------------------------------------------

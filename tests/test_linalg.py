@@ -160,7 +160,7 @@ def test_row_order_changes_no_result(F, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_modular_kernel_is_certified_on_integer_matrices(seed):
+def test_kernel_basis_over_q_with_a_dependent_row(seed):
     # The kernel over Q of a small integer matrix with a dependent row is
     # the dense reference's, exactly.
     rng = random.Random(seed)
@@ -172,7 +172,7 @@ def test_modular_kernel_is_certified_on_integer_matrices(seed):
     assert kernel_basis(M, QQ) == reference_kernel(rows, n_cols, QQ)
 
 
-def test_modular_kernel_lifts_fractions():
+def test_kernel_basis_over_q_has_fraction_entries():
     # An integer matrix whose kernel vector has non-integer entries.
     rows = [[2, 1, 0], [0, 3, 1]]
     basis = kernel_basis(ExactMatrix.from_rows(rows, QQ), QQ)
@@ -185,7 +185,7 @@ def test_modular_kernel_lifts_fractions():
     [[2 ** 61 - 1, 0], [0, 1]],           # rank 2 over Q, 1 mod 2^61 - 1
     [[1, 1], [1, 1 + 2 ** 61 - 1]],       # (-1, 1) is a kernel vector only mod 2^61 - 1
 ])
-def test_modular_kernel_falls_back_to_exact(rows):
+def test_kernel_basis_over_q_on_large_entries(rows):
     # Large integer entries, and answers over Q that no prime may change.
     M = ExactMatrix.from_rows(rows, QQ)
     assert kernel_basis(M, QQ) == reference_kernel(rows, len(rows[0]), QQ)

@@ -6,7 +6,7 @@ import pytest
 from biquandles.core import OpKind, alexander_biquandle
 from biquandles.gauss import parse_gauss_code
 from biquandles.presentation import (NODE_BUDGET, Gen, OpWord, Presentation,
-                                     Relation, eliminate, eval_word,
+                                     Relation, _leaf_counts, eliminate, eval_word,
                                      format_presentation, format_relation,
                                      format_word, knot_presentation,
                                      reduce_presentation, reduce_with_trace,
@@ -133,6 +133,44 @@ def test_eliminate_gives_the_reductions_survivors(random_code):
             (reduced, _trace), caught = _with_warnings(reduce_with_trace, pres, budget)
             assert _with_warnings(_survivors, pres, budget) == (reduced.generators, caught), \
                 f"code {i}, budget {budget}"
+
+
+def rounds_eliminate(p, max_nodes=NODE_BUDGET):
+    """eliminate as a loop of rounds, each rescanning the relations from
+    the start for the first whose isolated generator is not in its word."""
+    leaves = {r.rhs: _leaf_counts(r.lhs) for r in p.relations}
+    total = sum(2 * sum(c.values()) - 1 for c in leaves.values())
+    order = []
+    while (g := next((g for g, c in leaves.items() if g not in c), None)) is not None:
+        sub = leaves.pop(g)
+        order.append(g)
+        size = sum(sub.values())
+        total -= 2 * size - 1
+        for c in leaves.values():
+            if k := c.pop(g, 0):
+                for h, m in sub.items():
+                    c[h] = c.get(h, 0) + k * m
+                total += 2 * k * (size - 1)
+        if total > max_nodes:
+            warnings.warn(f"reduction stopped early: {total} word nodes exceeds "
+                          f"budget {max_nodes}")
+            break
+    gone = set(order)
+    return tuple(g for g in p.generators if g not in gone), order
+
+
+def test_one_pass_makes_the_rounds_picks(random_code):
+    # survivors, elimination order and warnings, cut short at each budget
+    # and run in full; the 150-crossing knot stops at its budget
+    rng = random.Random(20261020)
+    codes = [random_code(rng, rng.randint(2, 24), rng.randint(1, 3)) for _ in range(24)]
+    codes.append(random_code(random.Random(5), 150, 1))
+    for i, code in enumerate(codes):
+        pres = knot_presentation(code)
+        for budget in BUDGETS:
+            assert _with_warnings(eliminate, pres, budget) == \
+                _with_warnings(rounds_eliminate, pres, budget), f"code {i}, budget {budget}"
+    assert "1186571 word nodes" in _with_warnings(eliminate, pres, NODE_BUDGET)[1][0]
 
 
 def test_reduction_builds_each_word_once(random_code, monkeypatch):
