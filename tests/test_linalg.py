@@ -160,7 +160,9 @@ def test_row_order_changes_no_result(F, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_kernel_basis_over_q_with_a_dependent_row(seed):
+def test_modular_kernel_is_certified_on_integer_matrices(seed):
+    # Named for the modular kernel that kernels over Q were once found by;
+    # what it checks is kernel_basis over Q against the dense reference.
     # The kernel over Q of a small integer matrix with a dependent row is
     # the dense reference's, exactly.
     rng = random.Random(seed)
