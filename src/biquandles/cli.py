@@ -70,15 +70,16 @@ def _load(path: str, parse, *args):
 
 def _checked_search(args, out, T):
     """--code turned into a checked search of T, in the order the module
-    docstring gives.  Returns (code, presentation, survivors, shown), where
+    docstring gives.  Returns (code, checked_search(code, T), shown), where
     shown holds the fields --porcelain --show-presentation adds."""
     from .coloring import checked_search
     from .gauss import parse_gauss_code
-    from .presentation import format_presentation, reduce_to
     code = _load(args.code, parse_gauss_code)
-    pres, survivors = checked_search(code, T)
+    search = checked_search(code, T)
     if not args.show_presentation:
-        return code, pres, survivors, {}
+        return code, search, {}
+    from .presentation import format_presentation, knot_presentation, reduce_to
+    pres, survivors = knot_presentation(code), search[2]
     shown = {"presentation": format_presentation(pres).splitlines(),
              "reduced": format_presentation(reduce_to(pres, survivors)[0]).splitlines()}
     if not args.porcelain:
@@ -87,7 +88,7 @@ def _checked_search(args, out, T):
         out.write(f"reduced ({len(survivors)} generators):\n")
         out.writelines(f"  {line}\n" for line in shown["reduced"])
         shown = {}
-    return code, pres, survivors, shown
+    return code, search, shown
 
 
 def _cmd_validate(args, out):
@@ -165,10 +166,10 @@ def _cmd_cohomology(args, out):
 
 
 def _cmd_colorings(args, out):
-    from .coloring import scan_reduction
+    from .coloring import scan_relations
     T = _load(args.biquandle, read_biquandle, args.block_convention)
-    _code, pres, survivors, shown = _checked_search(args, out, T)
-    cols = scan_reduction(T, pres, survivors)
+    code, (_crossings, relations, survivors), shown = _checked_search(args, out, T)
+    cols = scan_relations(T, relations, code.n_semi_arcs, survivors)
     if args.porcelain:
         _dump({**shown, "count": len(cols), "colorings": [list(c) for c in cols]}, out)
         return 0
@@ -186,7 +187,7 @@ def _cmd_invariant(args, out):
     from .invariant import yb_invariant
     T = _load(args.biquandle, read_biquandle, args.block_convention)
     phi = _load(args.cocycle, read_cochain, T.n)
-    code, _pres, _survivors, shown = _checked_search(args, out, T)
+    code, _search, shown = _checked_search(args, out, T)
     value = yb_invariant(code, T, phi)
     if args.porcelain:
         _dump({**shown, "terms": [[str(e), m] for e, m in value.terms]}, out)
@@ -201,7 +202,7 @@ def _cmd_suite(args, out):
     from .linalg import FieldSpec
     field = FieldSpec.from_name(args.field)
     T = _load(args.biquandle, read_biquandle, args.block_convention)
-    code, _pres, _survivors, shown = _checked_search(args, out, T)
+    code, _search, shown = _checked_search(args, out, T)
     results = yb_invariant_suite(code, T, field)
     if args.porcelain:
         payload = [{"cocycle": format_cochain(phi),

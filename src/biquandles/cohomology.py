@@ -27,18 +27,6 @@ from .core import Biquandle, ParseError, Record, kink_witnesses, setfield
 from .linalg import ExactMatrix, FieldSpec, RankTracker, kernel_basis, matvec
 
 
-class Cochain1(Record):
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: FieldSpec, coeffs: tuple):
-        setfield(self, "field", field)
-        setfield(self, "coeffs", coeffs)
-
-    @property
-    def n(self) -> int:
-        return len(self.coeffs)
-
-
 class Cochain2(Record):
     __slots__ = ("field", "coeffs")
 
@@ -95,19 +83,6 @@ def cocycle_matrix(T: Biquandle) -> ExactMatrix:
 
 def is_cocycle(T: Biquandle, v: Cochain2) -> bool:
     return not any(matvec(cocycle_matrix(T), v.coeffs, v.field))
-
-
-def coboundary_of(T: Biquandle, lam: Cochain1) -> Cochain2:
-    F = lam.field
-    n = T.n
-    coeffs = []
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            s = F.add(lam.coeffs[x - 1], lam.coeffs[y - 1])
-            s = F.sub(s, lam.coeffs[T.up(x, y) - 1])
-            s = F.sub(s, lam.coeffs[T.down(y, x) - 1])
-            coeffs.append(s)
-    return Cochain2(F, tuple(coeffs))
 
 
 def _coboundary_span(T: Biquandle, field: FieldSpec) -> RankTracker:

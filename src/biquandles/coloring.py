@@ -3,40 +3,43 @@
 Two independent enumeration strategies, kept deliberately separate so each
 can check the other:
 
-  enumerate_colorings        reduce the presentation to learn which
+  enumerate_colorings        reduce the crossing relations to learn which
                              semi-arcs survive, then backtrack over the
                              survivors, computing every other semi-arc
                              from the crossing relations and checking each
                              relation that isolates a survivor as soon as
-                             its inputs are known (scan_reduction does all
-                             but the reduction, for callers that have one
-                             already);
+                             its inputs are known (scan_relations does all
+                             but the reduction, scan_reduction the same on
+                             a knot presentation's words);
   enumerate_colorings_oracle depth-first fill-and-propagate directly on the
-                             unreduced presentation, on the constraint
-                             engine of the search module, which the table
-                             search shares, branching in an order read off
-                             the crossing relations alone (_branch_order).
+                             unreduced crossing relations, on the
+                             constraint engine of the search module, which
+                             the table search shares, branching in an order
+                             read off the relations alone (_branch_order).
                              The reduced scan uses neither the engine nor
                              core.compile_sides, and the oracle uses
                              neither the reduction nor the scan's staging,
                              so a fault in any of them shows up as a
                              disagreement between the two.
 
-Both return colorings as tuples indexed by semi-arc (entry k-1 is the color
-of semi-arc k), sorted lexicographically.
+Both read the list of presentation.crossing_relations, building no word,
+and return colorings as tuples indexed by semi-arc (entry k-1 is the color
+of semi-arc k), sorted lexicographically.  checked_search hands the
+crossings on with their relations, so its callers read them once.
 
 The scan is staged on the crossing relations themselves.  Tietze reduction
 eliminates a semi-arc only when its word no longer contains it, so the
 relations isolating the eliminated semi-arcs form no cycle: each of their
 colors is one table lookup of colors known before it.  The reduction only
-picks the survivors, and presentation.eliminate picks them on leaf counts
-without building a word: the substituted words (Conway's five are 811
-nodes) would only repeat these same lookups.
+picks the survivors, and presentation.survivors_of picks them on leaf
+counts without building a word: the substituted words (Conway's five are
+811 nodes) would only repeat these same lookups.
 Survivors are ordered most constrained first, by one sort: the more
 survivor relations (those isolating a survivor) read one, the earlier it
 comes, ties going to the lowest generator.  At each level the scan assigns
 that survivor, fills in by one table lookup each the semi-arcs whose last
-survivor it is, then checks the relations the survivor completes.
+survivor it is, then checks the relations the survivor completes, looking
+up the padded tables that the Biquandle keeps (Biquandle.padded).
 """
 
 from __future__ import annotations
@@ -44,15 +47,15 @@ from __future__ import annotations
 from collections import Counter
 
 from .core import Biquandle, SearchLimitError, compile_sides
-from .gauss import GaussCode
-from .presentation import Gen, Presentation, eliminate, knot_presentation
+from .gauss import GaussCode, crossings_of
+from .presentation import Presentation, crossing_relations, survivors_of
 
 CANDIDATE_LIMIT = 10 ** 8
 
 
-def _stage(pres: Presentation, survivors):
-    """Stage the crossing relations of a knot presentation for a scan of
-    the survivors of a Tietze reduction of it.
+def _stage(relations, arcs: int, survivors):
+    """Stage the crossing relations of semi-arcs 1..arcs for a scan of the
+    survivors of a Tietze reduction of them.
 
     Returns (order, steps, checks, n_slots): the survivors in scan order,
     and per scan level the table lookups (dst, kind, left, right) and the
@@ -61,66 +64,58 @@ def _stage(pres: Presentation, survivors):
     isolates a survivor gets a spare slot after the semi-arcs.  Raises
     ValueError if the relations isolating the other semi-arcs form a cycle.
     """
-    isolating = {r.rhs: r.lhs for r in pres.relations}
+    isolating = {out: (kind, a, b) for out, kind, a, b in relations}
     reads = {g: {g} for g in survivors}  # the survivors a color depends on
+    checked = [r for r in relations if r[0] in reads]
     placed: list[int] = []  # eliminated semi-arcs, each after those it reads
     # Post-order on a stack, left input first; a path past every semi-arc is a cycle.
-    for g in pres.generators:
+    for g in range(1, arcs + 1):
         stack = [] if g in reads else [g]
         while stack:
-            w = isolating[stack[-1]]
-            a, b = w.left.index, w.right.index
+            _kind, a, b = isolating[stack[-1]]
             h = b if a in reads else a
             if h in reads:
                 placed.append(stack.pop())
                 reads[placed[-1]] = reads[a] | reads[b]
-            elif len(stack) > len(pres.generators):
+            elif len(stack) > arcs:
                 raise ValueError("the survivors leave a cycle of crossing relations")
             else:
                 stack.append(h)
-    checked = [(w, s) for s, w in isolating.items() if s in survivors]
 
     # Most constrained first: by how many survivor relations read each.
-    uses = Counter(g for w, s in checked
-                   for g in reads[w.left.index] | reads[w.right.index] | {s})
+    uses = Counter(g for s, _kind, a, b in checked for g in reads[a] | reads[b] | {s})
     order = sorted(survivors, key=lambda g: (-uses[g], g))
 
     # A color's level is the scan position of the last survivor it reads.
-    arcs = len(pres.generators)
     level = [0] * (arcs + 1)
     for i, g in enumerate(order):
         level[g] = i
     steps: list[list] = [[] for _ in order]
     checks: list[list] = [[] for _ in order]
     for g in placed:
-        w = isolating[g]
-        level[g] = max(level[w.left.index], level[w.right.index])
-        steps[level[g]].append((g, int(w.kind), w.left.index, w.right.index))
-    for spare, (w, s) in enumerate(checked, start=arcs + 1):
-        at = max(level[w.left.index], level[w.right.index])
-        steps[at].append((spare, int(w.kind), w.left.index, w.right.index))
+        kind, a, b = isolating[g]
+        level[g] = max(level[a], level[b])
+        steps[level[g]].append((g, kind, a, b))
+    for spare, (s, kind, a, b) in enumerate(checked, start=arcs + 1):
+        at = max(level[a], level[b])
+        steps[at].append((spare, kind, a, b))
         checks[max(at, level[s])].append((spare, s))
     return order, steps, checks, arcs + 1 + len(checked)
 
 
-def _padded(table) -> list[list[int]]:
-    # 1-based lookups without index arithmetic: row 0 and column 0 unused
-    return [[0] * (len(table) + 1)] + [[0, *row] for row in table]
-
-
-def _scan(T: Biquandle, pres: Presentation, survivors) -> list[tuple[int, ...]]:
-    # Backtrack over the survivors in staged order, on a stack of one value
-    # iterator per level, so a long chain of survivors needs no recursion.
-    # Level i assigns survivor i, looks up each semi-arc color (and each
-    # survivor relation's left side) that it completes, then checks the
-    # survivor relations it completes.  A full assignment has every
-    # semi-arc's color in its own slot.
-    order, steps, checks, n_slots = _stage(pres, survivors)
-    tables = [_padded(t) for t in T.tables]
+def scan_relations(T: Biquandle, relations, arcs: int, survivors) -> list[tuple[int, ...]]:
+    """All colorings of semi-arcs 1..arcs under these crossing relations,
+    by a backtracking scan of the survivors of a Tietze reduction of them."""
+    # Backtrack in staged order on a stack of one value iterator per level,
+    # so a long chain of survivors needs no recursion.  Level i assigns
+    # survivor i, looks up the colors (and survivor relations' left sides)
+    # it completes, then checks the survivor relations it completes.
+    check_search_size(T.n, len(survivors))
+    order, steps, checks, n_slots = _stage(relations, arcs, survivors)
+    tables = T.padded
     levels = [(g, [(dst, tables[kind], a, b) for dst, kind, a, b in step], check)
               for g, step, check in zip(order, steps, checks)]
     k = len(levels)
-    arcs = len(pres.generators)
     values = range(1, T.n + 1)
     val = [0] * n_slots
     if not k:
@@ -144,6 +139,7 @@ def _scan(T: Biquandle, pres: Presentation, survivors) -> list[tuple[int, ...]]:
                     break  # descend; this level resumes where it stopped
         else:
             stack.pop()
+    found.sort()
     return found
 
 
@@ -155,33 +151,35 @@ def check_search_size(n: int, survivors: int) -> None:
             f"search too large: {n}^{survivors} = {total} candidate assignments")
 
 
-def checked_search(code: GaussCode, T: Biquandle) -> tuple[Presentation, tuple[int, ...]]:
-    """The knot presentation of code and its survivors, once the scan by T
-    is known to be under the candidate cap and then T to be valid."""
-    pres = knot_presentation(code)
-    survivors = eliminate(pres)[0]
+def checked_search(code: GaussCode, T: Biquandle) -> tuple[list, list, tuple[int, ...]]:
+    """The crossings of code, their crossing relations and the survivors of
+    eliminating these, once the scan by T is known to be under the
+    candidate cap and then T to be valid."""
+    crossings = crossings_of(code)
+    relations = crossing_relations(crossings)
+    survivors = survivors_of(relations, code.n_semi_arcs)
     check_search_size(T.n, len(survivors))
     if not T.is_valid:
         raise ValueError("biquandle fails validation")
-    return pres, survivors
+    return crossings, relations, survivors
 
 
 def enumerate_colorings(code: GaussCode, T: Biquandle) -> list[tuple[int, ...]]:
     """All colorings, via reduction plus a backtracking scan of the survivors."""
-    pres = knot_presentation(code)
-    return scan_reduction(T, pres, eliminate(pres)[0])
+    relations = crossing_relations(crossings_of(code))
+    arcs = code.n_semi_arcs
+    return scan_relations(T, relations, arcs, survivors_of(relations, arcs))
 
 
 def scan_reduction(T: Biquandle, pres: Presentation, survivors) -> list[tuple[int, ...]]:
-    """All colorings of a code's knot presentation, by a backtracking scan
-    of the survivors (the generators left) of a Tietze reduction of it."""
-    check_search_size(T.n, len(survivors))
-    found = _scan(T, pres, survivors)
-    found.sort()
-    return found
+    """scan_relations on a knot presentation, each of whose words is one
+    operation on two generators."""
+    relations = [(r.rhs, r.lhs.kind, r.lhs.left.index, r.lhs.right.index)
+                 for r in pres.relations]
+    return scan_relations(T, relations, len(pres.generators), survivors)
 
 
-def _branch_order(pres: Presentation) -> list[int]:
+def _branch_order(relations, arcs: int) -> list[int]:
     """Every semi-arc, in the order the oracle comes to it.
 
     Greedy on the crossing relations alone: next comes the blank semi-arc
@@ -191,8 +189,8 @@ def _branch_order(pres: Presentation) -> list[int]:
     in the order it is found, so a semi-arc that propagation fills comes
     after the semi-arcs it is computed from.
     """
-    inputs = {r.rhs: (r.lhs.left.index, r.lhs.right.index) for r in pres.relations}
-    readers: dict[int, list[int]] = {g: [] for g in pres.generators}
+    inputs = {out: (a, b) for out, _kind, a, b in relations}
+    readers: dict[int, list[int]] = {g: [] for g in range(1, arcs + 1)}
     for s, (a, b) in inputs.items():
         readers[a].append(s)
         readers[b].append(s)
@@ -212,40 +210,36 @@ def _branch_order(pres: Presentation) -> list[int]:
         return new
 
     order: list[int] = []
-    while len(order) < len(pres.generators):
-        best = max((closure(g) for g in pres.generators if g not in known), key=len)
+    while len(order) < arcs:
+        best = max((closure(g) for g in readers if g not in known), key=len)
         order += best
         known.update(best)
     return order
 
 
 def enumerate_colorings_oracle(code: GaussCode, T: Biquandle) -> list[tuple[int, ...]]:
-    """All colorings, via fill-and-propagate on the unreduced presentation.
+    """All colorings, via fill-and-propagate on the unreduced crossing
+    relations.
 
     Runs on the search module's engine with the table cells as constants
     and the semi-arcs as unknowns.  Branches on the first unassigned
     semi-arc of _branch_order, so that the relations fire as early as they
-    can; a relation whose left side is fully assigned either forces its
-    isolated generator or, if that is already assigned, must check out.
+    can; a relation whose inputs are both assigned either forces its
+    isolated semi-arc or, if that is already assigned, must check out.
     """
     from .search import Engine  # the module's only use of search
-    pres = knot_presentation(code)
+    relations = crossing_relations(crossings_of(code))
+    arcs = code.n_semi_arcs
     n = T.n
     first = 4 * n * n  # slot of semi-arc 1, after the cells
-
-    def place(w):
-        if isinstance(w, Gen):
-            return first + w.index - 1
-        return (w.kind, place(w.left), place(w.right))
-
-    arcs = len(pres.generators)
     sides, scratch = compile_sides(
-        [(place(r.lhs), first + r.rhs - 1) for r in pres.relations], n, first + arcs)
+        [((kind, first + a - 1, first + b - 1), first + out - 1)
+         for out, kind, a, b in relations], n, first + arcs)
     cells = [v for t in T.tables for row in t for v in row]
     engine = Engine(n, cells + [0] * (arcs + scratch), sides)
     val = engine.val
     trail = engine.trail
-    order = [first + g - 1 for g in _branch_order(pres)]
+    order = [first + g - 1 for g in _branch_order(relations, arcs)]
     found: list[tuple[int, ...]] = []
 
     def descend(i: int):

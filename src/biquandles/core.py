@@ -142,7 +142,8 @@ class Biquandle(Record):
 
     Immutable after construction.  Construction checks only shape and
     entry range; axiom validity is checked by validate_biquandle and
-    cached on first use, in the instance __dict__.
+    cached on first use, in the instance __dict__, as are the padded
+    tables the coloring scan looks up.
     """
 
     __slots__ = ("tables", "__dict__")
@@ -184,6 +185,11 @@ class Biquandle(Record):
     @cached_property
     def validation(self) -> ValidationReport:
         return validate_biquandle(self)
+
+    @cached_property
+    def padded(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """padded[k][a][b] = a op_k b for 1-based lookups (row and column 0 unused)."""
+        return tuple(((0,) * (self.n + 1), *((0, *row) for row in t)) for t in self.tables)
 
     @property
     def is_valid(self) -> bool:

@@ -6,20 +6,23 @@ cocycle values: +phi(under_in, over_in) at a positive crossing and
 The invariant is the multiset of these sums, read as exponents of t; the
 zero cocycle recovers the counting invariant as N * t^0.
 
-The sums run on ints: each cocycle is scaled once, over Q by the lcm m of
-its coefficients' denominators (1 for a reduced basis cocycle), and each
-coloring's sum s becomes Fraction(s, m) over Q or s % p over Z_p.
+The sums run on ints: each cocycle is scaled once into an int table, over
+Q by the lcm m of its denominators (_scaled; the suite keeps each basis
+cocycle's table in its _suite_basis entry), and each distinct sum s becomes
+Fraction(s, m) over Q or s % p over Z_p once.  The crossings come with the
+search (coloring.checked_search), which builds no presentation word.
 """
 
 from __future__ import annotations
 
 import functools
 import warnings
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
 from .cohomology import Cochain2, is_cocycle, is_ri_reduced, reduced_cohomology_basis
-from .coloring import checked_search, scan_reduction
+from .coloring import checked_search, scan_relations
 from .core import Biquandle, Record, setfield
 from .gauss import GaussCode, crossings_of
 from .linalg import FieldSpec
@@ -63,24 +66,25 @@ class LaurentMultiset(Record):
         return " + ".join(parts)
 
 
-def _state_sums(crossings, n: int, cocycles, colorings) -> list[list]:
-    """Per cocycle, the state sum of each coloring.  A cocycle's int table
-    holds m * phi(x, y) at x * n + y, then its negated copy, so one index
-    per crossing, read once per coloring for all cocycles, carries its sign."""
+def _scaled(phi: Cochain2) -> tuple[tuple[int, ...], int | None, int]:
+    """(table, p, m): phi's int table holds m * phi(x, y) at x * n + y, then
+    its negated copy, so one index per crossing carries its sign; p is the
+    field's modulus (None over Q) and m the scale."""
+    p, coeffs, m = phi.field.p, phi.coeffs, 1
+    if not p:
+        m = lcm(*[c.denominator for c in coeffs])
+        coeffs = [c.numerator * (m // c.denominator) for c in coeffs]
+    table = [0] * (phi.n + 1) + list(coeffs)
+    return tuple(table + [-v for v in table]), p, m
+
+
+def _state_sums(crossings, n: int, scaled, colorings) -> list[list[int]]:
+    """Per _scaled table, the int state sum of each coloring, whose indices
+    are read once for all tables."""
     reads = [(x.under_in - 1, x.over_in - 1, 0) if x.sign > 0 else
              (x.under_out - 1, x.over_out - 1, n * n + n + 1) for x in crossings]
     indices = [[col[a] * n + col[b] + off for a, b, off in reads] for col in colorings]
-    out = []
-    for phi in cocycles:
-        p, coeffs = phi.field.p, phi.coeffs
-        if not p:
-            m = lcm(*[c.denominator for c in coeffs])
-            coeffs = [c.numerator * (m // c.denominator) for c in coeffs]
-        table = [0] * (n + 1) + list(coeffs)
-        table += [-v for v in table]
-        sums = [sum(map(table.__getitem__, at)) for at in indices]
-        out.append([s % p for s in sums] if p else [Fraction(s, m) for s in sums])
-    return out
+    return [[sum(map(table.__getitem__, at)) for at in indices] for table, _p, _m in scaled]
 
 
 def _check_size(T: Biquandle, phi: Cochain2) -> None:
@@ -89,22 +93,30 @@ def _check_size(T: Biquandle, phi: Cochain2) -> None:
 
 
 def boltzmann_sum(code: GaussCode, T: Biquandle, phi: Cochain2, coloring) -> object:
-    """Signed sum of cocycle values over the crossings of one coloring,
-    summed on ints with phi scaled as the module docstring says: a Fraction
-    over Q, an int in 0..p-1 over Z_p.  coloring is indexable by semi-arc - 1
-    (as returned by enumerate_colorings).  Errors if phi is over another
-    number of elements than T.
-    """
+    """Signed sum of cocycle values over the crossings of one coloring, on
+    ints as the module docstring says: a Fraction over Q, an int in 0..p-1
+    over Z_p.  coloring is indexable by semi-arc - 1 (as returned by
+    enumerate_colorings).  Errors if phi is over another number of elements
+    than T."""
     _check_size(T, phi)
-    return _state_sums(crossings_of(code), T.n, [phi], [coloring])[0][0]
+    _table, p, m = scaled = _scaled(phi)
+    s = _state_sums(crossings_of(code), T.n, [scaled], [coloring])[0][0]
+    return s % p if p else Fraction(s, m)
 
 
-def _invariants(code: GaussCode, T: Biquandle, reduction, cocycles) -> list[LaurentMultiset]:
-    """The state-sum invariant of each cocycle, from one scan of the
-    colorings over reduction = (presentation, survivors); no checks."""
-    colorings = scan_reduction(T, *reduction)
-    return [LaurentMultiset.from_exponents(sums)
-            for sums in _state_sums(crossings_of(code), T.n, cocycles, colorings)]
+def _invariants(code: GaussCode, T: Biquandle, search, scaled) -> list[LaurentMultiset]:
+    """The state-sum invariant of each _scaled cocycle, from one scan of
+    the colorings over search = checked_search(code, T); no checks."""
+    crossings, relations, survivors = search
+    colorings = scan_relations(T, relations, code.n_semi_arcs, survivors)
+    out = []
+    for sums, (_table, p, m) in zip(_state_sums(crossings, T.n, scaled, colorings), scaled):
+        if p:
+            terms = sorted(Counter(s % p for s in sums).items())
+        else:  # m > 0, so Fraction(s, m) keeps the order of s
+            terms = [(Fraction(s, m), k) for s, k in sorted(Counter(sums).items())]
+        out.append(LaurentMultiset(tuple(terms)))
+    return out
 
 
 def yb_invariant(code: GaussCode, T: Biquandle, phi: Cochain2) -> LaurentMultiset:
@@ -114,14 +126,14 @@ def yb_invariant(code: GaussCode, T: Biquandle, phi: Cochain2) -> LaurentMultise
     or phi fails the cocycle condition; warns if phi is not RI-reduced
     (the result is then only an invariant of framed moves).
     """
-    reduction = checked_search(code, T)
+    search = checked_search(code, T)
     _check_size(T, phi)
     if not is_cocycle(T, phi):
         raise ValueError("cochain is not a cocycle")
     if not is_ri_reduced(T, phi):
         warnings.warn("cocycle is not RI-reduced; the state sum may change "
                       "under first Reidemeister moves")
-    return _invariants(code, T, reduction, [phi])[0]
+    return _invariants(code, T, search, [_scaled(phi)])[0]
 
 
 def yb_invariant_suite(code: GaussCode, T: Biquandle,
@@ -134,21 +146,23 @@ def yb_invariant_suite(code: GaussCode, T: Biquandle,
     construction, so they are not checked again; the colorings are
     enumerated once for all of them, and not at all for an empty basis.
     """
-    reduction = checked_search(code, T)
+    search = checked_search(code, T)
     basis = _suite_basis(T, field)
     if not basis:
         return []
-    return list(zip(basis, _invariants(code, T, reduction, basis)))
+    values = _invariants(code, T, search, [scaled for _phi, scaled in basis])
+    return [(phi, value) for (phi, _s), value in zip(basis, values)]
 
 
 @functools.lru_cache(maxsize=16)
-def _suite_basis(T: Biquandle, field: FieldSpec) -> tuple[Cochain2, ...]:
-    """reduced_cohomology_basis(T, field), kept for the suite's next call.
+def _suite_basis(T: Biquandle, field: FieldSpec) -> tuple[tuple[Cochain2, tuple], ...]:
+    """(phi, _scaled(phi)) per reduced_cohomology_basis(T, field) cocycle,
+    kept for the suite's next call.
 
     Biquandle and FieldSpec are frozen records that hash and compare by
     their fields (the nested table tuples, the modulus), so equal tables
-    read from two files share one entry; the tuple and its frozen cocycles are
-    safe to hand to every caller.  The size bound keeps a process that
+    read from two files share one entry; the frozen cocycles and int tuples
+    are safe to hand to every caller.  The size bound keeps a process that
     walks many tables from holding every basis it ever computed.
     """
-    return tuple(reduced_cohomology_basis(T, field))
+    return tuple((phi, _scaled(phi)) for phi in reduced_cohomology_basis(T, field))

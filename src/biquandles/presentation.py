@@ -8,19 +8,21 @@ relations, each with a single generator isolated on the right:
     negative crossing:  under_in ^-over_in = under_out
                         over_in _-under_in = over_out
 
-(the barred operations carry a '-' in printed form).  Tietze reduction
+(the barred operations carry a '-' in printed form).  crossing_relations
+lists them as tuples (out, kind, left, right), which the coloring searches
+read; words are built from that list only for display and the reduction
+API (knot_presentation, reduce_to, reduce_with_trace).  Tietze reduction
 repeatedly eliminates a relation whose isolated generator does not occur on
-its other side, substituting the word for the generator everywhere.
-eliminate decides it on leaf counts alone, which is all the coloring scan
-needs; reduce_to builds the words from the survivors, for callers that
-read them.
+its other side, substituting the word for the generator everywhere.  One
+loop decides it on leaf counts alone, which is all the coloring scan needs,
+read off the relation list (survivors_of) or the words (eliminate).
 """
 
 from __future__ import annotations
 
 import warnings
 
-from .core import Biquandle, OpKind, Record, setfield
+from .core import OpKind, Record, setfield
 from .gauss import GaussCode, crossings_of
 
 
@@ -77,18 +79,6 @@ def word_nodes(w) -> int:
     return 2 * sum(_leaf_counts(w).values()) - 1  # a binary tree of L leaves
 
 
-def eval_word(w, T: Biquandle, assignment: dict[int, int]) -> int:
-    """Evaluate a word in T under a generator assignment."""
-    if isinstance(w, Gen):
-        try:
-            return assignment[w.index]
-        except KeyError:
-            raise ValueError(f"generator {w.index} unassigned") from None
-    u = eval_word(w.left, T, assignment)
-    v = eval_word(w.right, T, assignment)
-    return T.tables[w.kind][u - 1][v - 1]
-
-
 _OP_TEXT = {OpKind.UP: "^", OpKind.DOWN: "_", OpKind.UPBAR: "^-", OpKind.DOWNBAR: "_-"}
 
 
@@ -115,19 +105,26 @@ def format_presentation(p: Presentation) -> str:
     return "\n".join(lines)
 
 
+def crossing_relations(crossings) -> list[tuple[int, OpKind, int, int]]:
+    """The crossing relations (out, kind, left, right), each saying
+    left op_kind right = out, in order of the incoming semi-arc left."""
+    relations = []
+    for x in crossings:
+        up, down = (OpKind.UP, OpKind.DOWN) if x.sign > 0 else (OpKind.UPBAR, OpKind.DOWNBAR)
+        relations += ((x.under_out, up, x.under_in, x.over_in),
+                      (x.over_out, down, x.over_in, x.under_in))
+    relations.sort(key=lambda r: r[2])
+    return relations
+
+
 def knot_presentation(code: GaussCode) -> Presentation:
     """Generators 1..N (semi-arcs) and one relation per crossing passage,
     listed in order of the incoming semi-arc."""
     generators = tuple(range(1, code.n_semi_arcs + 1))
     gen = (None, *map(Gen, generators))  # one Gen per semi-arc, shared by the words
-    by_arc: dict[int, Relation] = {}
-    for x in crossings_of(code):
-        up_kind = OpKind.UP if x.sign > 0 else OpKind.UPBAR
-        down_kind = OpKind.DOWN if x.sign > 0 else OpKind.DOWNBAR
-        under, over = gen[x.under_in], gen[x.over_in]
-        by_arc[x.under_in] = Relation(OpWord(up_kind, under, over), x.under_out)
-        by_arc[x.over_in] = Relation(OpWord(down_kind, over, under), x.over_out)
-    return Presentation(generators, tuple(by_arc[a] for a in sorted(by_arc)))
+    return Presentation(generators, tuple(
+        Relation(OpWord(kind, gen[a], gen[b]), out)
+        for out, kind, a, b in crossing_relations(crossings_of(code))))
 
 
 NODE_BUDGET = 10 ** 6
@@ -141,15 +138,28 @@ def eliminate(p: Presentation, max_nodes: int = NODE_BUDGET
     Each round eliminates the first relation, in listed order, whose
     isolated generator does not occur in its word.  (On knot presentations,
     listed order means ascending incoming semi-arc; this order reproduces
-    published reductions.)  A word that reads its own generator always
-    will, so one pass in listed order makes the same picks.  Substituting
-    the word of g for its k occurrences adds k times g's counts, and a word
-    of L leaves has 2L - 1 nodes.  If total word size exceeds max_nodes, it
-    stops with a warning.
+    published reductions.)  If total word size exceeds max_nodes, it stops
+    with a warning.
     """
     leaves = {r.rhs: _leaf_counts(r.lhs) for r in p.relations}
     if len(leaves) != len(p.relations):
         raise ValueError("isolated generators must be distinct")
+    return _eliminate(p.generators, leaves, max_nodes)
+
+
+def survivors_of(relations, arcs: int) -> tuple[int, ...]:
+    """The survivors of eliminate on the knot presentation of these crossing
+    relations of semi-arcs 1..arcs, each word two distinct leaves."""
+    leaves = {out: {a: 1, b: 1} for out, _kind, a, b in relations}
+    return _eliminate(range(1, arcs + 1), leaves, NODE_BUDGET)[0]
+
+
+def _eliminate(generators, leaves: dict[int, dict[int, int]], max_nodes: int
+               ) -> tuple[tuple[int, ...], list[int]]:
+    # leaves: {isolated generator: its word's leaf counts}, in listed order,
+    # used up.  A word that reads its own generator always will, so one pass
+    # makes the same picks as rounds.  Substituting the word of g for its k
+    # occurrences adds k times g's counts; a word of L leaves has 2L - 1 nodes.
     total = sum(2 * sum(c.values()) - 1 for c in leaves.values())
     order: list[int] = []
     for g in list(leaves):
@@ -169,7 +179,7 @@ def eliminate(p: Presentation, max_nodes: int = NODE_BUDGET
                           f"budget {max_nodes}")
             break
     gone = set(order)
-    return tuple(g for g in p.generators if g not in gone), order
+    return tuple(g for g in generators if g not in gone), order
 
 
 def reduce_to(p: Presentation, survivors) -> tuple[Presentation, dict[int, "Word"]]:

@@ -5,8 +5,12 @@ import random
 
 import pytest
 
-from biquandles.core import Biquandle, BlockConvention, alexander_biquandle, read_biquandle
+from biquandles.cohomology import Cochain2
+from biquandles.core import (Biquandle, BlockConvention, Record, alexander_biquandle,
+                             read_biquandle, setfield)
 from biquandles.gauss import parse_gauss_code
+from biquandles.linalg import FieldSpec
+from biquandles.presentation import Gen
 from biquandles.search import PartialBiquandle, TableSearch
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
@@ -114,6 +118,50 @@ def reference_state_sum(crossings, n: int, phi, coloring):
             total = F.sub(total, coeffs[(coloring[x.under_out - 1] - 1) * n
                                         + coloring[x.over_out - 1] - 1])
     return total
+
+
+class Cochain1(Record):
+    """A 1-cochain: one field value per element."""
+
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: FieldSpec, coeffs: tuple):
+        setfield(self, "field", field)
+        setfield(self, "coeffs", coeffs)
+
+    @property
+    def n(self) -> int:
+        return len(self.coeffs)
+
+
+def coboundary_of(T: Biquandle, lam: Cochain1) -> Cochain2:
+    """(d lam)(x, y) = lam(x) + lam(y) - lam(x^y) - lam(y_x), one pair at a
+    time in the field's arithmetic: the reference the package's one
+    coboundary span (cohomology._coboundary_span) is checked against."""
+    F = lam.field
+    n = T.n
+    coeffs = []
+    for x in range(1, n + 1):
+        for y in range(1, n + 1):
+            s = F.add(lam.coeffs[x - 1], lam.coeffs[y - 1])
+            s = F.sub(s, lam.coeffs[T.up(x, y) - 1])
+            s = F.sub(s, lam.coeffs[T.down(y, x) - 1])
+            coeffs.append(s)
+    return Cochain2(F, tuple(coeffs))
+
+
+def eval_word(w, T: Biquandle, assignment: dict[int, int]) -> int:
+    """Evaluate a presentation word in T under a generator assignment, by
+    recursion on the word: the reference the coloring scan's table lookups
+    are checked against."""
+    if isinstance(w, Gen):
+        try:
+            return assignment[w.index]
+        except KeyError:
+            raise ValueError(f"generator {w.index} unassigned") from None
+    u = eval_word(w.left, T, assignment)
+    v = eval_word(w.right, T, assignment)
+    return T.tables[w.kind][u - 1][v - 1]
 
 
 class LeafSearch(TableSearch):

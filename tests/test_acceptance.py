@@ -13,9 +13,9 @@ import sys
 import time
 
 import conftest
+from conftest import Cochain1, coboundary_of
 
-from biquandles.cohomology import (Cochain1, Cochain2, CochainClass,
-                                   classify_cochain, coboundary_of,
+from biquandles.cohomology import (Cochain2, CochainClass, classify_cochain,
                                    is_cocycle, is_ri_reduced, read_cochain,
                                    reduced_cohomology_basis, zero_cochain)
 from biquandles.coloring import (counting_invariant, enumerate_colorings,

@@ -294,15 +294,14 @@ def test_colorings_checks_search_size_before_validating(run, data_dir, tmp_path,
 
 
 def test_colorings_reduces_once(run, data_dir, monkeypatch):
-    from biquandles import coloring, presentation
+    from biquandles import presentation
     calls = []
-    real = presentation.eliminate
+    real = presentation._eliminate  # the one elimination loop
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
-    for module in (coloring, presentation):
-        monkeypatch.setattr(module, "eliminate", counted)
+    monkeypatch.setattr(presentation, "_eliminate", counted)
     rc, out, _ = run("colorings", "--show-presentation", "--count-only",
                      "--code", str(data_dir / "trefoil.gauss"),
                      "--biquandle", str(data_dir / "kishinoT.bq"))

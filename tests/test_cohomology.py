@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from conftest import random_alexander, relabel
+from conftest import Cochain1, coboundary_of, random_alexander, relabel
 from test_linalg import reference_kernel
 
 from biquandles import linalg
-from biquandles.cohomology import (Cochain1, Cochain2, ClassifiedCochain, CochainClass,
+from biquandles.cohomology import (Cochain2, ClassifiedCochain, CochainClass,
                                    classify_cochain, coboundary_basis,
-                                   coboundary_of, cochain2_from_pairs,
+                                   cochain2_from_pairs,
                                    cocycle_matrix, cohomology_basis,
                                    format_cochain, is_cocycle, is_ri_reduced,
                                    read_cochain, reduced_cohomology_basis,

@@ -3,16 +3,17 @@
 import random
 
 import pytest
+from conftest import eval_word
 
 from biquandles import coloring, presentation, search
 from biquandles.coloring import (SearchLimitError, counting_invariant,
                                  enumerate_colorings, enumerate_colorings_oracle,
                                  scan_reduction)
-from biquandles.core import OpKind, alexander_biquandle
+from biquandles.core import Biquandle, OpKind, alexander_biquandle
 from biquandles.gauss import crossings_of, insert_r_move, parse_gauss_code
-from biquandles.presentation import (Gen, OpWord, Presentation, Relation, eval_word,
-                                     knot_presentation, reduce_to, reduce_with_trace,
-                                     word_nodes)
+from biquandles.presentation import (Gen, OpWord, Presentation, Relation,
+                                     crossing_relations, knot_presentation, reduce_to,
+                                     reduce_with_trace, word_nodes)
 
 SHIPPED_CODES = ["unknot", "trefoil", "kishino", "link-two-component", "conway"]
 
@@ -171,8 +172,8 @@ def test_oracle_uses_neither_reduction_nor_scan(data_dir, kishino_T, monkeypatch
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle ran a part of the reduced scan")
 
-    for module, name in ((presentation, "eliminate"), (coloring, "eliminate"),
-                         (coloring, "_stage"), (coloring, "_scan")):
+    for module, name in ((presentation, "_eliminate"), (coloring, "survivors_of"),
+                         (coloring, "_stage"), (coloring, "scan_relations")):
         monkeypatch.setattr(module, name, refuse)
     for name in SHIPPED_CODES:
         code = parse_gauss_code((data_dir / f"{name}.gauss").read_text())
@@ -272,6 +273,13 @@ class CountingTable(list):
         return super().__getitem__(i)
 
 
+def counting(T):
+    """A copy of T whose scan looks up CountingTables."""
+    copy = Biquandle(T.tables)
+    vars(copy)["padded"] = tuple(map(CountingTable, T.padded))
+    return copy
+
+
 def test_scan_evaluates_each_subword_once(conway_code, monkeypatch):
     # Tietze substitution pastes whole words in for generators, so
     # Conway's 5 reduced relations are trees of 811 nodes.  They hold 22
@@ -283,15 +291,15 @@ def test_scan_evaluates_each_subword_once(conway_code, monkeypatch):
     pres = knot_presentation(conway_code)
     reduced = reduce_with_trace(pres)[0]
     assert sum(word_nodes(r.lhs) for r in reduced.relations) == 811
-    order, steps, checks, n_slots = coloring._stage(pres, reduced.generators)
+    order, steps, checks, n_slots = coloring._stage(
+        crossing_relations(crossings_of(conway_code)), conway_code.n_semi_arcs,
+        reduced.generators)
     # slot 0 is unused and the survivors are assigned; each other slot is one lookup
     assert n_slots - 1 - len(order) == sum(map(len, steps)) == 22
     assert sum(map(len, checks)) == len(reduced.relations) == 5
 
-    padded = coloring._padded
-    monkeypatch.setattr(coloring, "_padded", lambda t: CountingTable(padded(t)))
     monkeypatch.setattr(CountingTable, "lookups", 0)
-    assert len(enumerate_colorings(conway_code, alexander_biquandle(7, 2, 3))) == 7
+    assert len(enumerate_colorings(conway_code, counting(alexander_biquandle(7, 2, 3)))) == 7
     assert CountingTable.lookups == 36_358
 
 
@@ -302,10 +310,8 @@ def test_scan_orders_survivors_most_constrained_first(kishino_T, random_code, mo
     pres = knot_presentation(code)
     survivors = presentation.eliminate(pres)[0]
     assert len(survivors) == 12
-    padded = coloring._padded
-    monkeypatch.setattr(coloring, "_padded", lambda t: CountingTable(padded(t)))
     monkeypatch.setattr(CountingTable, "lookups", 0)
-    found = scan_reduction(kishino_T, pres, survivors)
+    found = scan_reduction(counting(kishino_T), pres, survivors)
     assert CountingTable.lookups == 99_552
     assert len(found) == 8
     assert found == enumerate_colorings_oracle(code, kishino_T)

@@ -365,7 +365,9 @@ def test_block_convention_from_name():
 # two tables filled in place are frozen.
 
 def _records():
-    from biquandles.cohomology import ClassifiedCochain, Cochain1, Cochain2, CochainClass
+    from conftest import Cochain1
+
+    from biquandles.cohomology import ClassifiedCochain, Cochain2, CochainClass
     from biquandles.gauss import Crossing, GaussCode, GaussEntry, Role
     from biquandles.invariant import LaurentMultiset
     from biquandles.linalg import ExactMatrix, FieldSpec
@@ -433,7 +435,9 @@ def test_record_semantics(cls, args, shown):
 
 
 def test_record_fields_and_errors():
-    from biquandles.cohomology import Cochain1, Cochain2
+    from conftest import Cochain1
+
+    from biquandles.cohomology import Cochain2
     from biquandles.linalg import FieldSpec
     assert FieldSpec() == FieldSpec(p=None) and FieldSpec().is_rational
     assert Cochain1(FieldSpec(), (1, 2, 3, 4)) != Cochain2(FieldSpec(), (1, 2, 3, 4))

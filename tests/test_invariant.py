@@ -4,18 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import reference_state_sum
+from conftest import Cochain1, coboundary_of, reference_state_sum
 
-from biquandles import cohomology, core, invariant
-from biquandles.cohomology import (Cochain1, Cochain2, coboundary_of,
-                                   cochain2_from_pairs, read_cochain,
+from biquandles import cohomology, core, invariant, presentation
+from biquandles.cohomology import (Cochain2, cochain2_from_pairs, read_cochain,
                                    reduced_cohomology_basis, zero_cochain)
 from biquandles.core import (Biquandle, BlockConvention, SearchLimitError, alexander_biquandle,
                              read_biquandle)
-from biquandles.coloring import checked_search, counting_invariant, enumerate_colorings
-from biquandles.gauss import crossings_of, insert_r_move
+from biquandles.coloring import (checked_search, counting_invariant, enumerate_colorings,
+                                 scan_reduction)
+from biquandles.gauss import crossings_of, insert_r_move, parse_gauss_code, serialize_gauss_code
 from biquandles.invariant import LaurentMultiset, boltzmann_sum, yb_invariant, yb_invariant_suite
 from biquandles.linalg import FieldSpec
+from biquandles.presentation import eliminate, knot_presentation
 
 Q = FieldSpec.from_name("Q")
 F5 = FieldSpec.from_name("Zp:5")
@@ -96,8 +97,8 @@ def test_suite_scans_colorings_once(conway_code, monkeypatch):
     # A(5,2,3) over Z5 has four basis cocycles, and one scan serves them all.
     A = alexander_biquandle(5, 2, 3)
     scans = []
-    real = invariant.scan_reduction
-    monkeypatch.setattr(invariant, "scan_reduction",
+    real = invariant.scan_relations
+    monkeypatch.setattr(invariant, "scan_relations",
                         lambda *a, **k: scans.append(a) or real(*a, **k))
     suite = yb_invariant_suite(conway_code, A, F5)
     assert len(suite) == 4 and len(scans) == 1
@@ -245,7 +246,8 @@ def test_state_sums_match_field_arithmetic(summed_cocycles, random_code):
         crossings = crossings_of(code)
         for T, cocycles in summed_cocycles:
             colorings = enumerate_colorings(code, T)
-            got = invariant._invariants(code, T, checked_search(code, T), cocycles)
+            got = invariant._invariants(code, T, checked_search(code, T),
+                                        [invariant._scaled(phi) for phi in cocycles])
             for phi, value in zip(cocycles, got, strict=True):
                 want = LaurentMultiset.from_exponents(
                     reference_state_sum(crossings, T.n, phi, c) for c in colorings)
@@ -261,6 +263,52 @@ def test_boltzmann_sum_matches_field_arithmetic(summed_cocycles, random_code):
                 colorings = enumerate_colorings(code, T)
                 assert _typed(boltzmann_sum(code, T, phi, c) for c in colorings) == \
                     _typed(reference_state_sum(crossings, T.n, phi, c) for c in colorings)
+
+
+# --- the relation list against the word path -------------------------------
+
+
+def test_relation_path_matches_word_path(data_dir, kishino_T, random_code):
+    # enumerate_colorings and the suite read the crossing relations as
+    # tuples; the public word path builds the presentation, eliminates and
+    # scans on its words, and sums in the field's arithmetic.  The codes are
+    # the shipped ones and 20 seeded knots and links, one with a
+    # zero-crossing component and one with an R1 kink.
+    names = ("unknot", "trefoil", "kishino", "link-two-component", "conway")
+    codes = [parse_gauss_code((data_dir / f"{name}.gauss").read_text()) for name in names]
+    rng = random.Random(24)
+    codes += [random_code(rng, rng.randint(1, 7), 1 + i % 2) for i in range(18)]
+    codes.append(parse_gauss_code(serialize_gauss_code(codes[-1]) + ",0"))
+    codes.append(insert_r_move(codes[-2], "R1-", (0, 1)))
+    pairs = [(kishino_T, Q), (alexander_biquandle(5, 2, 3), F5),
+             (alexander_biquandle(7, 2, 3), FieldSpec(7))]
+
+    def typed(value):  # exponent types included
+        return [(type(e), e, m) for e, m in value.terms]
+    for i, code in enumerate(codes):
+        pres, crossings = knot_presentation(code), crossings_of(code)
+        for T, F in pairs:
+            colorings = scan_reduction(T, pres, eliminate(pres)[0])
+            assert enumerate_colorings(code, T) == colorings, f"code {i} by order {T.n}"
+            want = [(phi, typed(LaurentMultiset.from_exponents(
+                reference_state_sum(crossings, T.n, phi, c) for c in colorings)))
+                for phi in reduced_cohomology_basis(T, F)]
+            assert [(phi, typed(v)) for phi, v in yb_invariant_suite(code, T, F)] == want, \
+                f"code {i} by order {T.n}"
+
+
+def test_invariants_build_no_words(kishino_code, kishino_T, phi1, monkeypatch):
+    # Words are for display and the reduction API: the colorings and both
+    # invariant functions run with every word record refused.
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a presentation word")
+
+    for name in ("Gen", "OpWord", "Relation", "Presentation"):
+        monkeypatch.setattr(presentation, name, refuse)
+    assert len(enumerate_colorings(kishino_code, kishino_T)) == 16
+    assert str(yb_invariant(kishino_code, kishino_T, phi1)) == "2*t^-1 + 12 + 2*t"
+    assert [str(v) for _phi, v in yb_invariant_suite(kishino_code, kishino_T, Q)] == \
+        ["2*t^-1 + 12 + 2*t", "2*t^-2 + 12 + 2*t^2"]
 
 
 # --- input checking ---------------------------------------------------------

@@ -160,9 +160,7 @@ def test_row_order_changes_no_result(F, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_modular_kernel_is_certified_on_integer_matrices(seed):
-    # Named for the modular kernel that kernels over Q were once found by;
-    # what it checks is kernel_basis over Q against the dense reference.
+def test_kernel_basis_over_q_matches_dense_reference_on_integer_matrices(seed):
     # The kernel over Q of a small integer matrix with a dependent row is
     # the dense reference's, exactly.
     rng = random.Random(seed)

@@ -2,11 +2,12 @@ import random
 import warnings
 
 import pytest
+from conftest import eval_word
 
 from biquandles.core import OpKind, alexander_biquandle
 from biquandles.gauss import parse_gauss_code
 from biquandles.presentation import (NODE_BUDGET, Gen, OpWord, Presentation,
-                                     Relation, _leaf_counts, eliminate, eval_word,
+                                     Relation, _leaf_counts, eliminate,
                                      format_presentation, format_relation,
                                      format_word, knot_presentation,
                                      reduce_presentation, reduce_with_trace,
