@@ -14,17 +14,19 @@ The coboundary of a 1-cochain lam is
 which vanishing-tested against the cocycle matrix gives d2 = 0.  Cocycles
 that also vanish at every kink witness pair are insensitive to the first
 Reidemeister move ("RI-reduced"); the reduced second cohomology is spanned
-by such cocycles modulo coboundaries.
+by such cocycles modulo coboundaries.  Both bases read the kernel once off
+one elimination (linalg.row_reduce, RankTracker.kernel) as sparse vectors,
+integer multiples over Q, tested against the coboundary span as they are.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt
 
 from .core import Biquandle, ParseError, Record, kink_witnesses, setfield
-from .linalg import ExactMatrix, FieldSpec, RankTracker, kernel_basis, matvec
+from .linalg import ExactMatrix, FieldSpec, RankTracker, dense, matvec, primitive, row_reduce
 
 
 class Cochain2(Record):
@@ -65,19 +67,24 @@ def cocycle_matrix(T: Biquandle) -> ExactMatrix:
     the int entries into GF(p) by one remainder each, and over Q as they
     are, since it runs on integer rows there."""
     n = T.n
-    up, down = T.tables[0], T.tables[1]  # 0-based rows of 1-based elements
+    up = [[v - 1 for v in row] for row in T.tables[0]]  # 0-based
+    down = [[v - 1 for v in row] for row in T.tables[1]]
+    down_of = list(zip(*down))  # down_of[y][z] = down[z][y]
     rows = []
     for x in range(n):
-        for y in range(n):
-            xy, yx = up[x][y] - 1, down[y][x] - 1
-            for z in range(n):
-                zy, zxy = down[z][y] - 1, down[z][xy] - 1
-                row: dict[int, int] = {}
-                for k, delta in ((x * n + y, 1), (xy * n + z, 1), (yx * n + zxy, 1),
-                                 (x * n + zy, -1), (y * n + z, -1),
-                                 ((up[x][zy] - 1) * n + up[y][z] - 1, -1)):
-                    row[k] = row.get(k, 0) + delta
-                rows.append({k: c for k, c in row.items() if c})
+        ux, xn = up[x], x * n
+        for y in range(n):  # one (x, y) block: its offsets, then a row per z
+            xy, yx = ux[y], down[y][x]
+            a, b, c, d, uy = xn + y, xy * n, yx * n, y * n, up[y]
+            for z, zy, zxy in zip(range(n), down_of[y], down_of[xy]):
+                k2, k3, k4, k5, k6 = b + z, c + zxy, xn + zy, d + z, ux[zy] * n + uy[z]
+                row = {a: 1, k2: 1, k3: 1, k4: -1, k5: -1, k6: -1}
+                if len(row) < 6:  # a repeated column: its coefficients accumulate
+                    row = {}
+                    for k, delta in zip((a, k2, k3, k4, k5, k6), (1, 1, 1, -1, -1, -1)):
+                        row[k] = row.get(k, 0) + delta
+                    row = {k: v for k, v in row.items() if v}
+                rows.append(row)
     return ExactMatrix(n ** 3, n * n, rows)
 
 
@@ -111,18 +118,18 @@ def coboundary_basis(T: Biquandle, field: FieldSpec) -> list[Cochain2]:
 
 
 def _representatives(T: Biquandle, field: FieldSpec, rows: list[dict]) -> list[tuple]:
-    """The canonical kernel basis vectors of the sparse rows that extend
-    the span of the coboundaries, in order."""
+    """The canonical kernel basis vectors of the sparse rows that extend the
+    coboundary span, in order, as RankTracker.kernel's (m, m * vector) pairs."""
     span = _coboundary_span(T, field)
     M = ExactMatrix(len(rows), T.n ** 2, rows)
-    return [v for v in kernel_basis(M, field) if span.add(v)]
+    return [(m, w) for m, w in row_reduce(M, field).kernel() if span._insert(w.items())]
 
 
 def cohomology_basis(T: Biquandle, field: FieldSpec) -> list[Cochain2]:
     """Representatives of H2: kernel basis vectors of the cocycle matrix
     that extend the span of the coboundaries, in canonical order."""
-    return [Cochain2(field, v)
-            for v in _representatives(T, field, cocycle_matrix(T).entries)]
+    return [Cochain2(field, dense(field, T.n ** 2, m, w))
+            for m, w in _representatives(T, field, cocycle_matrix(T).entries)]
 
 
 def ri_constraint_pairs(T: Biquandle) -> list[tuple[int, int]]:
@@ -141,22 +148,6 @@ def is_ri_reduced(T: Biquandle, v: Cochain2) -> bool:
     return all(not v.value(x, y) for x, y in ri_constraint_pairs(T))
 
 
-def _primitive(coeffs: tuple) -> tuple:
-    """Scale a rational vector to primitive integers, first nonzero positive."""
-    denoms = [c.denominator for c in coeffs]
-    scale = lcm(*denoms) if denoms else 1
-    ints = [int(c * scale) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g:
-        ints = [v // g for v in ints]
-    first = next((v for v in ints if v), 0)
-    if first < 0:
-        ints = [-v for v in ints]
-    return tuple(Fraction(v) for v in ints)
-
-
 def reduced_cohomology_basis(T: Biquandle, field: FieldSpec) -> list[Cochain2]:
     """Representatives of the RI-reduced second cohomology.
 
@@ -170,8 +161,8 @@ def reduced_cohomology_basis(T: Biquandle, field: FieldSpec) -> list[Cochain2]:
     rows += [{(x - 1) * n + (y - 1): 1} for x, y in ri_constraint_pairs(T)]
     reps = _representatives(T, field, rows)
     if field.is_rational:
-        reps = [_primitive(v) for v in reps]
-    return [Cochain2(field, v) for v in reps]
+        reps = [(1, primitive(w)) for _, w in reps]
+    return [Cochain2(field, dense(field, n * n, m, w)) for m, w in reps]
 
 
 class CochainClass(Enum):

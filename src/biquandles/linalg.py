@@ -5,27 +5,27 @@ prime-field arithmetic uses integer residues 0..p-1.  No floating point
 anywhere, so reduced forms and kernel bases are bit-for-bit reproducible.
 
 Matrices are sparse: row i of an ExactMatrix is a dict {column: nonzero
-value}.  One elimination kernel serves every entry point: RankTracker
-keeps its rows fully reduced (each row is nonzero at its leading column,
-its pivot, and every other row is 0 there), so feeding it the rows of a
-matrix one at a time builds the reduced row echelon form.  rref and
-kernel_basis read their answers off that form, and an independence or
-membership test is one RankTracker.add.  The work follows the nonzeros
-rather than rows x columns; the cocycle matrices of cohomology.py are
-n^3 x n^2 with at most 6 nonzeros per row.  The RREF is unique, so the
-order rows are fed in changes no result, only the work.  rref feeds them
-by descending leading column: a stored row is 0 left of its pivot, so a
-new pivot left of every stored one updates no stored row, and the stored
-rows do not fill in.
+value}.  There is one elimination path: RankTracker keeps its rows fully
+reduced (each row is nonzero at its leading column, its pivot, and every
+other row is 0 there), and row_reduce feeds it a matrix's rows by
+descending leading column, building the reduced row echelon form without
+fill-in: a stored row is 0 left of its pivot, so a new pivot left of
+every stored one updates no stored row.  The RREF is unique, so the feed
+order changes the work, not the result.  rref reads the stored rows, and
+the kernel is read once off them (RankTracker.kernel, one sparse vector
+per free column; kernel_basis is its dense form).  An independence or
+membership test is one RankTracker.add.  The work follows the nonzeros;
+a cocycle matrix is n^3 x n^2 with at most 6 nonzeros per row.
 
 Over GF(p) a stored row is 1 at its pivot.  Over Q the elimination is
 fraction-free (cf. E. H. Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 22 (1968)): a
 stored row is a primitive integer row whose pivot entry d is positive,
 and it stands for itself divided by d.  A row with Fraction entries is
-scaled by the lcm of its denominators on entry, and Fractions are built
-again only on output, so the elimination runs on integers alone, with no
-prime, no reconstruction and nothing to certify.
+scaled by the lcm of its denominators on entry, and a kernel vector is
+kept as an integer multiple until output, so Fractions are built only
+for the vectors returned: the elimination runs on integers alone, with
+no prime, no reconstruction and nothing to certify.
 """
 
 from __future__ import annotations
@@ -141,11 +141,10 @@ QQ = FieldSpec()
 
 
 class ExactMatrix(Record, frozen=False):
-    """Sparse matrix with exact entries: entries[i] maps the column
-    (0-based) of every nonzero entry of row i to its value.  Entries are
-    field elements or integers: the elimination (rref, kernel_basis) takes
-    them into GF(p) by coerce and into Q as integer rows (RankTracker),
-    and matvec's field arithmetic takes integers as they are."""
+    """Sparse matrix with exact entries: entries[i] maps the column (0-based)
+    of every nonzero entry of row i to its value, a field element or an int
+    (row_reduce takes ints into GF(p) by one remainder and into Q as integer
+    rows; matvec's field arithmetic takes them as they are)."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -158,8 +157,7 @@ class ExactMatrix(Record, frozen=False):
     def from_rows(rows: list, field: FieldSpec) -> "ExactMatrix":
         """Build from dense rows."""
         data = [[field.coerce(v) for v in row] for row in rows]
-        r = len(data)
-        c = len(data[0]) if data else 0
+        r, c = len(data), len(data[0]) if data else 0
         if any(len(row) != c for row in data):
             raise ValueError("ragged rows")
         return ExactMatrix(r, c, [{j: v for j, v in enumerate(row) if v} for row in data])
@@ -195,6 +193,14 @@ def _combine(a: int, w: dict, b: int, row: dict) -> None:
             del w[c]
 
 
+def primitive(w: dict) -> dict:
+    """The integer row w over the gcd of its entries, its first entry positive."""
+    g = gcd(*w.values())
+    if w[min(w)] < 0:
+        g = -g
+    return w if g == 1 else {c: x // g for c, x in w.items()}
+
+
 class RankTracker:
     """Incremental independence test: feed vectors, learn which extend the span.
 
@@ -202,7 +208,7 @@ class RankTracker:
     far, each nonzero at its pivot, its leading column, and 0 at every
     other row's pivot: over GF(p) a row that is 1 at its pivot, over Q a
     primitive integer row with a positive pivot entry, standing for itself
-    divided by that entry.  This is the elimination kernel behind rref.
+    divided by that entry.  row_reduce feeds it a whole matrix.
     """
 
     def __init__(self, field: FieldSpec, dim: int):
@@ -217,10 +223,23 @@ class RankTracker:
     def rows(self) -> list[dict]:
         """The stored sparse rows in ascending pivot order: the nonzero rows
         of the reduced row echelon form of everything fed so far."""
-        rows = [(c, self._rows[c]) for c in sorted(self._rows)]
-        if self.field.p is not None:
-            return [row for _, row in rows]
-        return [{c: Fraction(x, row[lead]) for c, x in row.items()} for lead, row in rows]
+        p = self.field.p
+        return [{c: x if p else Fraction(x, row[lead]) for c, x in row.items()}
+                for lead, row in sorted(self._rows.items())]
+
+    def kernel(self) -> list[tuple[int, dict]]:
+        """The canonical null space basis of the stored rows R, sparse: per free
+        column f, ascending, the vector v that is 1 at f, 0 at the other free
+        columns and -R[row of c][f] at each pivot column c, as (m, m * v), m the
+        lcm of the pivot entries v uses (so 1 over GF(p)) and m * v integers."""
+        rows = self._rows
+        uses: dict[int, list] = {f: [] for f in range(self.dim) if f not in rows}
+        for lead, row in rows.items():
+            for c, x in row.items():
+                if c != lead:
+                    uses[c].append((lead, x, row[lead]))
+        return [(m, {c: -x * (m // d) for c, x, d in used} | {f: m})
+                for f, used in uses.items() for m in [lcm(*(d for _, _, d in used))]]
 
     def add(self, v) -> bool:
         """Reduce v against the stored rows; True iff v was independent."""
@@ -231,10 +250,8 @@ class RankTracker:
         p = self.field.p
         if p is None:
             return self._insert_integer(items)
-        coerce, w = self.field.coerce, {}
-        for c, x in items:  # an int goes into GF(p) by one remainder
-            if x and (y := x % p if type(x) is int else coerce(x)):
-                w[c] = y
+        coerce = self.field.coerce  # an int goes into GF(p) by one remainder
+        w = {c: y for c, x in items if x and (y := x % p if type(x) is int else coerce(x))}
         rows = self._rows
         # Stored rows are 0 at each other's pivots, so one pass clears every pivot of w.
         for c in [c for c in w if c in rows]:
@@ -273,63 +290,53 @@ class RankTracker:
             _combine(d // g, w, f // g, row)
         if not w:
             return False
+        w = primitive(w)
         lead = min(w)
-        g = gcd(*w.values())
-        if w[lead] < 0:
-            g = -g
-        if g != 1:
-            w = {c: x // g for c, x in w.items()}
         a = w[lead]
-        for row in rows.values():
+        for k, row in rows.items():
             f = row.get(lead)
             if f:
                 g = gcd(a, f)
                 _combine(a // g, row, f // g, w)
-                g = gcd(*row.values())
-                if g != 1:
-                    for c in row:
-                        row[c] //= g
+                rows[k] = primitive(row)
         rows[lead] = w
         return True
+
+
+def row_reduce(M: ExactMatrix, F: FieldSpec) -> RankTracker:
+    """A tracker fed the rows of M by descending leading column (a stable
+    sort), so a new pivot mostly lands left of the stored ones, where no
+    stored row has an entry to clear."""
+    tracker = RankTracker(F, M.cols)
+    for row in sorted(filter(None, M.entries), key=min, reverse=True):
+        tracker._insert(row.items())
+    return tracker
 
 
 def rref(M: ExactMatrix, F: FieldSpec) -> tuple[ExactMatrix, list[int]]:
     """Reduced row echelon form of M over F (entries are taken into F).
 
     Returns (R, pivot columns 1-based ascending): the nonzero rows of R come
-    first in pivot order, then zero rows up to M.rows.  Rows are fed by
-    descending leading column (a stable sort), so a new pivot mostly lands
-    left of the stored ones, where no stored row has an entry to clear.
+    first in pivot order, then zero rows up to M.rows.
     """
-    tracker = RankTracker(F, M.cols)
-    for row in sorted(filter(None, M.entries), key=min, reverse=True):
-        tracker._insert(row.items())
-    reduced = tracker.rows()
+    reduced = row_reduce(M, F).rows()
     pivots = [min(row) + 1 for row in reduced]
     reduced += [{} for _ in range(M.rows - len(reduced))]
     return ExactMatrix(M.rows, M.cols, reduced), pivots
 
 
-def kernel_basis(M: ExactMatrix, F: FieldSpec) -> list[tuple]:
-    """Canonical basis of the right null space, read off rref(M, F).
+def dense(F: FieldSpec, cols: int, m: int, w: dict) -> tuple:
+    """The vector w / m over F as a tuple of length cols, zeros included."""
+    v = [F.zero()] * cols
+    for c, x in w.items():
+        v[c] = Fraction(x, m) if F.p is None else x % F.p
+    return tuple(v)
 
-    One vector per free column f, in ascending column order: 1 at f, 0 at
-    every other free column, and -R[row of c][f] at each pivot column c,
-    which is nonzero only left of f.
-    """
-    R, pivots = rref(M, F)
-    pivot_cols = [p - 1 for p in pivots]
-    is_pivot = set(pivot_cols)
-    basis = {}
-    for f in range(M.cols):
-        if f not in is_pivot:
-            basis[f] = v = [F.zero()] * M.cols
-            v[f] = F.one()
-    for pc, row in zip(pivot_cols, R.entries):
-        for c, x in row.items():
-            if c != pc:
-                basis[c][pc] = F.neg(x)
-    return [tuple(v) for v in basis.values()]
+
+def kernel_basis(M: ExactMatrix, F: FieldSpec) -> list[tuple]:
+    """Canonical basis of the right null space of M: the dense form of
+    RankTracker.kernel after eliminating M (see there)."""
+    return [dense(F, M.cols, m, w) for m, w in row_reduce(M, F).kernel()]
 
 
 def matvec(M: ExactMatrix, v, F: FieldSpec):

@@ -150,6 +150,28 @@ def coboundary_of(T: Biquandle, lam: Cochain1) -> Cochain2:
     return Cochain2(F, tuple(coeffs))
 
 
+def reference_cocycle_rows(T: Biquandle) -> list[dict]:
+    """The rows of the cocycle matrix, one triple (x, y, z) at a time in
+    lexicographic order, each of its six contributions accumulated in turn:
+    the reference cohomology.cocycle_matrix's per-(x, y) blocks are checked
+    against."""
+    n = T.n
+    up, down = T.tables[0], T.tables[1]  # 0-based rows of 1-based elements
+    rows = []
+    for x in range(n):
+        for y in range(n):
+            xy, yx = up[x][y] - 1, down[y][x] - 1
+            for z in range(n):
+                zy, zxy = down[z][y] - 1, down[z][xy] - 1
+                row: dict[int, int] = {}
+                for k, delta in ((x * n + y, 1), (xy * n + z, 1), (yx * n + zxy, 1),
+                                 (x * n + zy, -1), (y * n + z, -1),
+                                 ((up[x][zy] - 1) * n + up[y][z] - 1, -1)):
+                    row[k] = row.get(k, 0) + delta
+                rows.append({k: c for k, c in row.items() if c})
+    return rows
+
+
 def eval_word(w, T: Biquandle, assignment: dict[int, int]) -> int:
     """Evaluate a presentation word in T under a generator assignment, by
     recursion on the word: the reference the coloring scan's table lookups

@@ -1,11 +1,13 @@
 """Second cohomology: cocycle condition, coboundaries, reduced basis, files."""
 
 import random
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
-from conftest import Cochain1, coboundary_of, random_alexander, relabel
-from test_linalg import reference_kernel
+from conftest import Cochain1, coboundary_of, random_alexander, reference_cocycle_rows, relabel
+from test_linalg import reference_kernel, reference_rref
 
 from biquandles import linalg
 from biquandles.cohomology import (Cochain2, ClassifiedCochain, CochainClass,
@@ -49,6 +51,44 @@ def reference_coboundary_basis(T, field):
     R, pivots = rref(ExactMatrix.from_rows(images, field), field)
     return [Cochain2(field, tuple(R.entries[i].get(k, field.zero()) for k in range(n * n)))
             for i in range(len(pivots))]
+
+
+def reference_primitive(coeffs: tuple) -> tuple:
+    """Scale a rational vector to primitive integers, first nonzero positive."""
+    denoms = [c.denominator for c in coeffs]
+    scale = lcm(*denoms) if denoms else 1
+    ints = [int(c * scale) for c in coeffs]
+    g = 0
+    for v in ints:
+        g = gcd(g, v)
+    if g:
+        ints = [v // g for v in ints]
+    first = next((v for v in ints if v), 0)
+    if first < 0:
+        ints = [-v for v in ints]
+    return tuple(Fraction(v) for v in ints)
+
+
+def reference_h2_basis(T, field, reduced: bool) -> list[Cochain2]:
+    """H^2 representatives the dense way: the reference kernel of the
+    reference cocycle rows (and, if reduced, the RI indicator rows), each
+    vector kept if it raises the rank of the reference coboundary basis and
+    the vectors kept so far, made primitive over Q when reduced."""
+    n = T.n
+    rows = [[row.get(k, 0) for k in range(n * n)] for row in reference_cocycle_rows(T)]
+    if reduced:
+        rows += [[int(k == (x - 1) * n + y - 1) for k in range(n * n)]
+                 for x, y in ri_constraint_pairs(T)]
+    kept = [list(b.coeffs) for b in reference_coboundary_basis(T, field)]
+    reps = []
+    for v in reference_kernel(rows, n * n, field):
+        if len(reference_rref(kept + [list(v)], field)[1]) > len(kept):
+            kept.append(list(v))
+            reps.append(v)
+    if reduced and field.is_rational:
+        reps = [reference_primitive(v) for v in reps]
+    return [Cochain2(field, v) for v in reps]
+
 
 REDUCED_BASIS_TEXT = [
     "X(1,3)+X(2,1)+X(2,2)+X(3,2)",
@@ -125,6 +165,49 @@ def test_elimination_work_pinned(monkeypatch):
             m.setattr(linalg, name, counted)
             assert reduced_cohomology_basis(A, F) == []
         assert updates == pin, F.name()
+
+
+def test_cocycle_matrix_matches_reference_rows(kishino_T):
+    # kishinoT, every Alexander table with unit parameters up to order 10
+    # (A(6,5,5) and A(8,3,5) among them have rows with a repeated column,
+    # whose coefficients accumulate or cancel), and a seeded relabelling of each
+    def units(n):
+        return [u for u in range(1, n) if gcd(u, n) == 1] or [1]
+
+    tables = [("kishinoT", kishino_T)] + [
+        (f"A({n},{s},{t})", alexander_biquandle(n, s, t))
+        for n in range(1, 11) for s in units(n) for t in units(n)]
+    rng = random.Random(20261020)
+    tables += [(f"{name} relabelled", relabel(T, rng.sample(range(1, T.n + 1), T.n)))
+               for name, T in tables]
+    short = {}  # rows with a repeated column, per table
+    for name, T in tables:
+        want = reference_cocycle_rows(T)
+        M = cocycle_matrix(T)
+        assert (M.rows, M.cols) == (T.n ** 3, T.n ** 2), name
+        assert M.entries == want, name
+        short[name] = sum(len(row) < 6 for row in want)
+    assert len(tables) == 270
+    assert min(short["A(6,5,5)"], short["A(8,3,5)"], short["A(8,3,5) relabelled"]) > 0
+    assert sum(short.values()) < sum(T.n ** 3 for _, T in tables)
+
+
+@pytest.mark.parametrize("key", ["kishinoT", (5, 2, 3), (6, 5, 5), (7, 3, 5)], ids=str)
+def test_bases_match_dense_reference(key, kishino_T):
+    # The bases themselves, entry types included (Fraction over Q, int
+    # over Z_p), on a seeded relabelling of each table.
+    T = kishino_T if key == "kishinoT" else alexander_biquandle(*key)
+    T = relabel(T, random.Random(20261020 + T.n).sample(range(1, T.n + 1), T.n))
+    nonzero = 0
+    for F in (Q, F2, F3, F5, FieldSpec(7), FBIG):
+        for fn, reduced in ((cohomology_basis, False), (reduced_cohomology_basis, True)):
+            got, want = fn(T, F), reference_h2_basis(T, F, reduced)
+            assert got == want, f"{fn.__name__} over {F.name()}"
+            types = [type(c) for v in got for c in v.coeffs]
+            assert types == [type(c) for v in want for c in v.coeffs]
+            assert set(types) <= {Fraction if F.is_rational else int}
+            nonzero += bool(got)
+    assert nonzero >= 6
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
