@@ -9,8 +9,7 @@ can check the other:
                              from the crossing relations and checking each
                              relation that isolates a survivor as soon as
                              its inputs are known (scan_relations does all
-                             but the reduction, scan_reduction the same on
-                             a knot presentation's words);
+                             but the reduction);
   enumerate_colorings_oracle depth-first fill-and-propagate directly on the
                              unreduced crossing relations, on the
                              constraint engine of the search module, which
@@ -30,10 +29,10 @@ crossings on with their relations, so its callers read them once.
 The scan is staged on the crossing relations themselves.  Tietze reduction
 eliminates a semi-arc only when its word no longer contains it, so the
 relations isolating the eliminated semi-arcs form no cycle: each of their
-colors is one table lookup of colors known before it.  The reduction only
-picks the survivors, and presentation.survivors_of picks them on leaf
-counts without building a word: the substituted words (Conway's five are
-811 nodes) would only repeat these same lookups.
+colors is one table lookup of colors known before it (dependency_order).
+The reduction only picks the survivors, and presentation.survivors_of
+picks them on leaf counts without building a word: the substituted words
+(Conway's five are 811 nodes) would only repeat these same lookups.
 Survivors are ordered most constrained first, by one sort: the more
 survivor relations (those isolating a survivor) read one, the earlier it
 comes, ties going to the lowest generator.  At each level the scan assigns
@@ -48,7 +47,7 @@ from collections import Counter
 
 from .core import Biquandle, SearchLimitError, compile_sides
 from .gauss import GaussCode, crossings_of
-from .presentation import Presentation, crossing_relations, survivors_of
+from .presentation import crossing_relations, dependency_order, survivors_of
 
 CANDIDATE_LIMIT = 10 ** 8
 
@@ -62,25 +61,15 @@ def _stage(relations, arcs: int, survivors):
     relation checks (slot, survivor) that the level's survivor completes.
     Semi-arc g has value slot g; the left side of each relation that
     isolates a survivor gets a spare slot after the semi-arcs.  Raises
-    ValueError if the relations isolating the other semi-arcs form a cycle.
+    ValueError as dependency_order does.
     """
-    isolating = {out: (kind, a, b) for out, kind, a, b in relations}
+    inputs = {out: (a, b) for out, _kind, a, b in relations}
+    placed = dependency_order(range(1, arcs + 1), survivors, inputs)
     reads = {g: {g} for g in survivors}  # the survivors a color depends on
     checked = [r for r in relations if r[0] in reads]
-    placed: list[int] = []  # eliminated semi-arcs, each after those it reads
-    # Post-order on a stack, left input first; a path past every semi-arc is a cycle.
-    for g in range(1, arcs + 1):
-        stack = [] if g in reads else [g]
-        while stack:
-            _kind, a, b = isolating[stack[-1]]
-            h = b if a in reads else a
-            if h in reads:
-                placed.append(stack.pop())
-                reads[placed[-1]] = reads[a] | reads[b]
-            elif len(stack) > arcs:
-                raise ValueError("the survivors leave a cycle of crossing relations")
-            else:
-                stack.append(h)
+    for g in placed:
+        a, b = inputs[g]
+        reads[g] = reads[a] | reads[b]
 
     # Most constrained first: by how many survivor relations read each.
     uses = Counter(g for s, _kind, a, b in checked for g in reads[a] | reads[b] | {s})
@@ -92,10 +81,11 @@ def _stage(relations, arcs: int, survivors):
         level[g] = i
     steps: list[list] = [[] for _ in order]
     checks: list[list] = [[] for _ in order]
+    isolating = {r[0]: r for r in relations}
     for g in placed:
-        kind, a, b = isolating[g]
+        a, b = inputs[g]
         level[g] = max(level[a], level[b])
-        steps[level[g]].append((g, kind, a, b))
+        steps[level[g]].append(isolating[g])
     for spare, (s, kind, a, b) in enumerate(checked, start=arcs + 1):
         at = max(level[a], level[b])
         steps[at].append((spare, kind, a, b))
@@ -169,14 +159,6 @@ def enumerate_colorings(code: GaussCode, T: Biquandle) -> list[tuple[int, ...]]:
     relations = crossing_relations(crossings_of(code))
     arcs = code.n_semi_arcs
     return scan_relations(T, relations, arcs, survivors_of(relations, arcs))
-
-
-def scan_reduction(T: Biquandle, pres: Presentation, survivors) -> list[tuple[int, ...]]:
-    """scan_relations on a knot presentation, each of whose words is one
-    operation on two generators."""
-    relations = [(r.rhs, r.lhs.kind, r.lhs.left.index, r.lhs.right.index)
-                 for r in pres.relations]
-    return scan_relations(T, relations, len(pres.generators), survivors)
 
 
 def _branch_order(relations, arcs: int) -> list[int]:

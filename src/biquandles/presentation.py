@@ -11,11 +11,14 @@ relations, each with a single generator isolated on the right:
 (the barred operations carry a '-' in printed form).  crossing_relations
 lists them as tuples (out, kind, left, right), which the coloring searches
 read; words are built from that list only for display and the reduction
-API (knot_presentation, reduce_to, reduce_with_trace).  Tietze reduction
-repeatedly eliminates a relation whose isolated generator does not occur on
-its other side, substituting the word for the generator everywhere.  One
-loop decides it on leaf counts alone, which is all the coloring scan needs,
-read off the relation list (survivors_of) or the words (eliminate).
+API (knot_presentation, reduce_to, reduce_with_trace), a word being an int
+(a generator) or an OpWord of two words.  Tietze reduction repeatedly
+eliminates a relation whose isolated generator does not occur on its other
+side, substituting the word for the generator everywhere.  One loop decides
+it on leaf counts alone, which is all the coloring scan needs, read off the
+relation list (survivors_of) or the words (eliminate); one walk
+(dependency_order) orders the eliminated generators for the scan's lookups
+and for the words reduce_to builds.
 """
 
 from __future__ import annotations
@@ -24,13 +27,6 @@ import warnings
 
 from .core import OpKind, Record, setfield
 from .gauss import GaussCode, crossings_of
-
-
-class Gen(Record):
-    __slots__ = ("index",)
-
-    def __init__(self, index: int):
-        setfield(self, "index", index)
 
 
 class OpWord(Record):
@@ -42,7 +38,7 @@ class OpWord(Record):
         setfield(self, "right", right)
 
 
-Word = "Gen | OpWord"
+Word = "int | OpWord"  # a generator, or an operation on two words
 
 
 class Relation(Record):
@@ -68,8 +64,8 @@ def _leaf_counts(w) -> dict[int, int]:
     counts: dict[int, int] = {}
     stack = [w]
     while stack:
-        if isinstance(w := stack.pop(), Gen):
-            counts[w.index] = counts.get(w.index, 0) + 1
+        if isinstance(w := stack.pop(), int):
+            counts[w] = counts.get(w, 0) + 1
         else:
             stack += (w.left, w.right)
     return counts
@@ -90,7 +86,7 @@ def format_word(w) -> str:
             stack.append(_OP_TEXT[w.kind])
             stack += [")", w.left, "("] if isinstance(w.left, OpWord) else [w.left]
         else:
-            out.append(w if isinstance(w, str) else str(w.index))
+            out.append(str(w))  # a generator or a piece of text
     return "".join(out)
 
 
@@ -120,10 +116,8 @@ def crossing_relations(crossings) -> list[tuple[int, OpKind, int, int]]:
 def knot_presentation(code: GaussCode) -> Presentation:
     """Generators 1..N (semi-arcs) and one relation per crossing passage,
     listed in order of the incoming semi-arc."""
-    generators = tuple(range(1, code.n_semi_arcs + 1))
-    gen = (None, *map(Gen, generators))  # one Gen per semi-arc, shared by the words
-    return Presentation(generators, tuple(
-        Relation(OpWord(kind, gen[a], gen[b]), out)
+    return Presentation(tuple(range(1, code.n_semi_arcs + 1)), tuple(
+        Relation(OpWord(kind, a, b), out)
         for out, kind, a, b in crossing_relations(crossings_of(code))))
 
 
@@ -182,37 +176,55 @@ def _eliminate(generators, leaves: dict[int, dict[int, int]], max_nodes: int
     return tuple(g for g in generators if g not in gone), order
 
 
+def dependency_order(generators, survivors, reads) -> list[int]:
+    """The generators that are not survivors, each after those its relation
+    reads; reads maps each isolated generator to the generators it reads.
+    Raises ValueError naming a generator that is neither a survivor nor
+    isolated, and if the relations of the others form a cycle.
+    """
+    done = set(survivors)
+    order: list[int] = []
+    for g in generators:  # post-order on a stack that holds one path
+        stack = [] if g in done else [g]
+        while stack:
+            top = stack[-1]
+            try:
+                ins = reads[top]
+            except KeyError:
+                raise ValueError(f"generator {top} is neither a survivor nor isolated") from None
+            for h in ins:
+                if h not in done:
+                    if len(stack) > len(reads):  # a path past all of reads repeats one
+                        raise ValueError("the eliminated generators' relations form a cycle")
+                    stack.append(h)
+                    break
+            else:
+                done.add(top)
+                order.append(stack.pop())
+    return order
+
+
 def reduce_to(p: Presentation, survivors) -> tuple[Presentation, dict[int, "Word"]]:
     """The presentation left when every relation not isolating a survivor
     is eliminated, and {eliminated generator: its word over the survivors}.
 
     The words do not depend on the order of elimination.  Each is built
-    once, after the words it reads, sharing them as a DAG; a cycle among
-    the eliminated generators' relations raises ValueError.
+    once, after the words it reads, sharing them as a DAG.
     """
     lhs = {r.rhs: r.lhs for r in p.relations}
-    reads = {g: _leaf_counts(lhs[g]) for g in lhs.keys() - survivors}
+    kept = set(survivors)
+    reads = {g: _leaf_counts(w) for g, w in lhs.items() if g not in kept}
     word: dict[int, Word] = {}
 
     def build(w):
-        if isinstance(w, Gen):
-            return word.get(w.index, w)
+        if isinstance(w, int):
+            return word.get(w, w)
         return OpWord(w.kind, build(w.left), build(w.right))
 
-    # Post-order on a stack that holds one path; a path past every
-    # eliminated generator repeats one, so it is a cycle.
-    for g in reads:
-        stack = [] if g in word else [g]
-        while stack:
-            h = next((h for h in reads[stack[-1]] if h in reads and h not in word), None)
-            if h is None:
-                h = stack.pop()
-                word[h] = build(lhs[h])
-            elif len(stack) > len(reads):
-                raise ValueError("the eliminated generators' relations form a cycle")
-            else:
-                stack.append(h)
-    rels = tuple(Relation(build(lhs[g]), g) for g in sorted(lhs) if g not in reads)
+    # every generator, and every isolated one even if p.generators omits it
+    for g in dependency_order((*p.generators, *reads), kept, reads):
+        word[g] = build(lhs[g])
+    rels = tuple(Relation(build(lhs[g]), g) for g in sorted(lhs) if g in kept)
     return Presentation(tuple(survivors), rels), word
 
 

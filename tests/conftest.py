@@ -10,7 +10,6 @@ from biquandles.core import (Biquandle, BlockConvention, Record, alexander_biqua
                              read_biquandle, setfield)
 from biquandles.gauss import parse_gauss_code
 from biquandles.linalg import FieldSpec
-from biquandles.presentation import Gen
 from biquandles.search import PartialBiquandle, TableSearch
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
@@ -176,11 +175,11 @@ def eval_word(w, T: Biquandle, assignment: dict[int, int]) -> int:
     """Evaluate a presentation word in T under a generator assignment, by
     recursion on the word: the reference the coloring scan's table lookups
     are checked against."""
-    if isinstance(w, Gen):
+    if isinstance(w, int):
         try:
-            return assignment[w.index]
+            return assignment[w]
         except KeyError:
-            raise ValueError(f"generator {w.index} unassigned") from None
+            raise ValueError(f"generator {w} unassigned") from None
     u = eval_word(w.left, T, assignment)
     v = eval_word(w.right, T, assignment)
     return T.tables[w.kind][u - 1][v - 1]

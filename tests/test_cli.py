@@ -1,5 +1,6 @@
 """End-to-end command-line behavior via main() plus the module entry point."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -476,6 +477,9 @@ def test_show_presentation_of_a_long_knot(run, tmp_path):
     assert (rc, lines[-1]) == (0, "1")
     assert "reduced (1005 generators):" in lines
     assert "error" not in err
+    # the whole output, pinned: 3,548,290 bytes
+    assert (len(out), hashlib.sha256(out.encode()).hexdigest()) == (
+        3_548_290, "b3247552a61144ddee1b9f9c19913070b643b263ce13df70e079264d75b76899")
 
 
 def _mutate(rng, text):

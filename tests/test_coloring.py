@@ -8,10 +8,10 @@ from conftest import eval_word
 from biquandles import coloring, presentation, search
 from biquandles.coloring import (SearchLimitError, counting_invariant,
                                  enumerate_colorings, enumerate_colorings_oracle,
-                                 scan_reduction)
+                                 scan_relations)
 from biquandles.core import Biquandle, OpKind, alexander_biquandle
 from biquandles.gauss import crossings_of, insert_r_move, parse_gauss_code
-from biquandles.presentation import (Gen, OpWord, Presentation, Relation,
+from biquandles.presentation import (OpWord, Presentation, Relation,
                                      crossing_relations, knot_presentation, reduce_to,
                                      reduce_with_trace, word_nodes)
 
@@ -222,16 +222,17 @@ def test_scan_matches_odometer_on_partial_reductions(trefoil_code, kishino_code,
     tables = (alexander_biquandle(3, 1, 2), kishino_T)
     for code in (trefoil_code, kishino_code):
         pres = knot_presentation(code)
+        relations, arcs = crossing_relations(crossings_of(code)), code.n_semi_arcs
         for budget in (0, 24):
             with pytest.warns(UserWarning, match="reduction stopped early"):
                 reduced, trace = reduce_with_trace(pres, budget)
             for T in tables:
-                assert scan_reduction(T, pres, reduced.generators) == \
-                    odometer_scan(T, reduced, trace, code.n_semi_arcs), \
+                assert scan_relations(T, relations, arcs, reduced.generators) == \
+                    odometer_scan(T, reduced, trace, arcs), \
                     f"budget {budget} by order {T.n}"
         for T in tables:
-            assert scan_reduction(T, pres, pres.generators) == enumerate_colorings(code, T), \
-                f"no elimination by order {T.n}"
+            assert scan_relations(T, relations, arcs, pres.generators) == \
+                enumerate_colorings(code, T), f"no elimination by order {T.n}"
 
 
 def test_scan_matches_odometer_on_larger_random_codes(kishino_T, random_code):
@@ -255,12 +256,17 @@ def test_scan_ignores_relation_order(conway_code, kishino_T, random_code):
     for i, code in enumerate(codes):
         pres = knot_presentation(code)
         survivors = reduce_with_trace(pres)[0].generators
-        relations = list(pres.relations)
-        rng.shuffle(relations)
-        permuted = Presentation(pres.generators, tuple(relations))
+        relations, arcs = crossing_relations(crossings_of(code)), code.n_semi_arcs
+        order = list(range(len(relations)))
+        rng.shuffle(order)
         for T in (kishino_T, alexander_biquandle(5, 2, 3)):
-            assert scan_reduction(T, permuted, survivors) == \
-                scan_reduction(T, pres, survivors), f"code {i} by order {T.n}"
+            assert scan_relations(T, [relations[j] for j in order], arcs, survivors) == \
+                scan_relations(T, relations, arcs, survivors), f"code {i} by order {T.n}"
+        # nor do the reduced presentation and the words, built in another
+        # walk order when the generators are listed backwards too
+        permuted = Presentation(pres.generators[::-1],
+                                tuple(pres.relations[j] for j in order))
+        assert reduce_to(permuted, survivors) == reduce_to(pres, survivors), f"code {i}"
 
 
 class CountingTable(list):
@@ -311,7 +317,8 @@ def test_scan_orders_survivors_most_constrained_first(kishino_T, random_code, mo
     survivors = presentation.eliminate(pres)[0]
     assert len(survivors) == 12
     monkeypatch.setattr(CountingTable, "lookups", 0)
-    found = scan_reduction(counting(kishino_T), pres, survivors)
+    found = scan_relations(counting(kishino_T), crossing_relations(crossings_of(code)),
+                           code.n_semi_arcs, survivors)
     assert CountingTable.lookups == 99_552
     assert len(found) == 8
     assert found == enumerate_colorings_oracle(code, kishino_T)
@@ -321,20 +328,34 @@ def test_stage_walks_long_chains_without_recursion(trefoil_code):
     # Semi-arc g < N is (g+1)^(g+1) and semi-arc 1 checks the survivor N:
     # a chain of N - 1 eliminated semi-arcs, far past the recursion limit.
     N = 5_000
-    relations = [Relation(OpWord(OpKind.UP, Gen(g + 1), Gen(g + 1)), g) for g in range(1, N)]
-    relations.append(Relation(OpWord(OpKind.UP, Gen(1), Gen(1)), N))
-    chain = Presentation(tuple(range(1, N + 1)), tuple(relations))
-    assert len(scan_reduction(alexander_biquandle(3, 1, 2), chain, (N,))) == 3
+    relations = [(g, OpKind.UP, g + 1, g + 1) for g in range(1, N)] + [(N, OpKind.UP, 1, 1)]
+    assert len(scan_relations(alexander_biquandle(3, 1, 2), relations, N, (N,))) == 3
     # the word builder gives each link one word, reading the next link's
+    chain = Presentation(tuple(range(1, N + 1)), tuple(
+        Relation(OpWord(kind, a, b), out) for out, kind, a, b in relations))
     reduced, word = reduce_to(chain, (N,))
-    assert word[N - 1] == OpWord(OpKind.UP, Gen(N), Gen(N))
+    assert word[N - 1] == OpWord(OpKind.UP, N, N)
     assert all(word[g].left is word[g].right is word[g + 1] for g in range(1, N - 1))
     assert reduced.relations[0].lhs.left is word[1] and len(reduced.relations) == 1
     # with no survivors the crossing relations form cycles, which no walk finishes
     with pytest.raises(ValueError, match="cycle"):
-        scan_reduction(alexander_biquandle(3, 1, 2), knot_presentation(trefoil_code), ())
+        scan_relations(alexander_biquandle(3, 1, 2),
+                       crossing_relations(crossings_of(trefoil_code)), 6, ())
     with pytest.raises(ValueError, match="cycle"):
         reduce_to(knot_presentation(trefoil_code), ())
+
+
+def test_generator_neither_survivor_nor_isolated_rejected():
+    # Such a generator has no color to look up and no word to substitute:
+    # the scan would leave its color 0 and the word builder would read it
+    # as if it survived.
+    A = alexander_biquandle(3, 1, 2)
+    with pytest.raises(ValueError, match="generator 1 is neither"):
+        scan_relations(A, [], 1, ())
+    with pytest.raises(ValueError, match="generator 2 is neither"):
+        scan_relations(A, [(1, OpKind.UP, 2, 2)], 2, (1,))
+    with pytest.raises(ValueError, match="generator 1 is neither"):
+        reduce_to(Presentation((1, 2), (Relation(OpWord(OpKind.UP, 1, 1), 2),)), ())
 
 
 def test_scan_walks_long_survivor_chains_without_recursion():
@@ -344,5 +365,5 @@ def test_scan_walks_long_survivor_chains_without_recursion():
     code = parse_gauss_code(",".join(f"{'-' * (i % 2)}{i % n + 1}" for i in range(2 * n)) + ",0")
     with pytest.warns(UserWarning, match="stopped early"):
         assert len(enumerate_colorings(code, alexander_biquandle(1, 1, 1))) == 1
-    # a presentation with no scan levels has the one empty coloring
-    assert scan_reduction(alexander_biquandle(3, 1, 2), Presentation((), ()), ()) == [()]
+    # no semi-arcs make no scan levels and the one empty coloring
+    assert scan_relations(alexander_biquandle(3, 1, 2), [], 0, ()) == [()]

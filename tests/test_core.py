@@ -362,7 +362,8 @@ def test_block_convention_from_name():
 #
 # Every value class is a core.Record with its own __init__.  Records compare
 # and hash by their fields and show as Name(field=value, ...); all but the
-# two tables filled in place are frozen.
+# two tables filled in place are frozen.  A presentation word's generators
+# are plain ints, not records, so a word shows them bare.
 
 def _records():
     from conftest import Cochain1
@@ -371,7 +372,7 @@ def _records():
     from biquandles.gauss import Crossing, GaussCode, GaussEntry, Role
     from biquandles.invariant import LaurentMultiset
     from biquandles.linalg import ExactMatrix, FieldSpec
-    from biquandles.presentation import Gen, OpWord, Presentation, Relation
+    from biquandles.presentation import OpWord, Presentation, Relation
     from biquandles.search import PartialBiquandle
     over, under = GaussEntry(1, Role.OVER, 1), GaussEntry(1, Role.UNDER, 1)
     return [  # (class, positional arguments, the dataclass repr)
@@ -385,12 +386,10 @@ def _records():
         (GaussCode, (((over, under),), ((5, 1),)),
          "GaussCode(components=((GaussEntry(crossing=1, role=<Role.OVER: 'over'>, sign=1), "
          "GaussEntry(crossing=1, role=<Role.UNDER: 'under'>, sign=1)),), renaming=((5, 1),))"),
-        (Gen, (3,), "Gen(index=3)"),
-        (OpWord, (OpKind.UPBAR, Gen(1), Gen(2)),
-         "OpWord(kind=<OpKind.UPBAR: 2>, left=Gen(index=1), right=Gen(index=2))"),
-        (Relation, (Gen(1), 2), "Relation(lhs=Gen(index=1), rhs=2)"),
-        (Presentation, ((1, 2), (Relation(Gen(1), 2),)),
-         "Presentation(generators=(1, 2), relations=(Relation(lhs=Gen(index=1), rhs=2),))"),
+        (OpWord, (OpKind.UPBAR, 1, 2), "OpWord(kind=<OpKind.UPBAR: 2>, left=1, right=2)"),
+        (Relation, (1, 2), "Relation(lhs=1, rhs=2)"),
+        (Presentation, ((1, 2), (Relation(1, 2),)),
+         "Presentation(generators=(1, 2), relations=(Relation(lhs=1, rhs=2),))"),
         (FieldSpec, (7,), "FieldSpec(p=7)"),
         (ExactMatrix, (1, 2, [{0: 1}]), "ExactMatrix(rows=1, cols=2, entries=[{0: 1}])"),
         (Cochain1, (FieldSpec(), (Fraction(1), Fraction(-1, 2))),

@@ -6,7 +6,7 @@ from conftest import eval_word
 
 from biquandles.core import OpKind, alexander_biquandle
 from biquandles.gauss import parse_gauss_code
-from biquandles.presentation import (NODE_BUDGET, Gen, OpWord, Presentation,
+from biquandles.presentation import (NODE_BUDGET, OpWord, Presentation,
                                      Relation, _leaf_counts, eliminate,
                                      format_presentation, format_relation,
                                      format_word, knot_presentation,
@@ -33,15 +33,15 @@ CONWAY_RELATIONS = [
 
 
 def substitute(w, gen: int, replacement):
-    if isinstance(w, Gen):
-        return replacement if w.index == gen else w
+    if isinstance(w, int):
+        return replacement if w == gen else w
     return OpWord(w.kind, substitute(w.left, gen, replacement),
                   substitute(w.right, gen, replacement))
 
 
 def word_generators(w) -> set[int]:
-    if isinstance(w, Gen):
-        return {w.index}
+    if isinstance(w, int):
+        return {w}
     return word_generators(w.left) | word_generators(w.right)
 
 
@@ -99,11 +99,11 @@ def test_reduction_matches_tree_walk_on_bare_generators():
     # 4=5 has a bare generator on the left and goes first: it pastes the
     # leaf 4 into three words, one of which then holds its own isolated
     # generator; 3=3 is bare and never eliminable
-    rels = (Relation(Gen(4), 5),
-            Relation(OpWord(OpKind.UP, Gen(1), Gen(5)), 2),
-            Relation(OpWord(OpKind.DOWN, Gen(5), Gen(2)), 4),
-            Relation(Gen(3), 3),
-            Relation(OpWord(OpKind.UPBAR, Gen(5), Gen(5)), 1))
+    rels = (Relation(4, 5),
+            Relation(OpWord(OpKind.UP, 1, 5), 2),
+            Relation(OpWord(OpKind.DOWN, 5, 2), 4),
+            Relation(3, 3),
+            Relation(OpWord(OpKind.UPBAR, 5, 5), 1))
     pres = Presentation((1, 2, 3, 4, 5), rels)
     for budget in BUDGETS:
         result, caught = _with_warnings(reduce_with_trace, pres, budget)
@@ -252,7 +252,7 @@ def test_trace_words_reference_later_survivors(trefoil_code, conway_code):
 
 
 def test_duplicate_isolated_generator_rejected():
-    rel = Relation(Gen(1), 2)
+    rel = Relation(1, 2)
     with pytest.raises(ValueError, match="distinct"):
         reduce_with_trace(Presentation((1, 2), (rel, rel)))
 
@@ -266,21 +266,21 @@ def test_node_budget_warning(conway_code):
 
 def test_eval_word_basics():
     one = alexander_biquandle(1, 1, 1)
-    assert eval_word(Gen(3), one, {3: 1}) == 1
-    assert eval_word(OpWord(OpKind.UP, Gen(1), Gen(2)), one, {1: 1, 2: 1}) == 1
+    assert eval_word(3, one, {3: 1}) == 1
+    assert eval_word(OpWord(OpKind.UP, 1, 2), one, {1: 1, 2: 1}) == 1
 
 
 def test_eval_word_unassigned():
     with pytest.raises(ValueError, match="unassigned"):
-        eval_word(Gen(2), alexander_biquandle(1, 1, 1), {1: 1})
+        eval_word(2, alexander_biquandle(1, 1, 1), {1: 1})
 
 
 def test_eval_word_matches_manual_lookup():
     T = alexander_biquandle(5, 2, 3)
     # the word 1^(2_(3_2 barred)) evaluated stepwise
-    word = OpWord(OpKind.UP, Gen(1),
-                  OpWord(OpKind.DOWN, Gen(2),
-                         OpWord(OpKind.DOWNBAR, Gen(3), Gen(2))))
+    word = OpWord(OpKind.UP, 1,
+                  OpWord(OpKind.DOWN, 2,
+                         OpWord(OpKind.DOWNBAR, 3, 2)))
     for a in range(1, 6):
         for b in range(1, 6):
             for c in range(1, 6):
@@ -290,11 +290,11 @@ def test_eval_word_matches_manual_lookup():
 
 
 def test_format_word_barred_notation():
-    w = OpWord(OpKind.UPBAR, Gen(6), Gen(11))
+    w = OpWord(OpKind.UPBAR, 6, 11)
     assert format_word(w) == "6^-11"
-    w2 = OpWord(OpKind.DOWNBAR, Gen(11), Gen(6))
+    w2 = OpWord(OpKind.DOWNBAR, 11, 6)
     assert format_word(w2) == "11_-6"
-    nested = OpWord(OpKind.UP, w, Gen(2))
+    nested = OpWord(OpKind.UP, w, 2)
     assert format_word(nested) == "(6^-11)^2"
 
 
