@@ -10,9 +10,10 @@ Subcommands:
     suite       invariant values for a whole reduced basis
 
 Exit codes: 0 success, 1 domain error (invalid input data), 2 usage error.
-A domain error is a ValueError (a file that fails to parse, named in the
-message, or a table that fails validation), an OSError, a SearchLimitError
-or a RecursionError.  It prints one "error:" line to stderr; with
+A domain error is a ValueError (a file that fails to decode or to parse,
+named in the message, or a table that fails validation), an OSError, a
+SearchLimitError or a RecursionError.  It prints one "error:" line to
+stderr; with
 --porcelain it also prints {"error": "<message>"} as its only line of
 stdout.  A warning prints as one "warning: <message>" line to stderr, when
 it is raised.  With --porcelain, --show-presentation adds "presentation"
@@ -59,13 +60,13 @@ def _dump(obj, out) -> None:
 
 
 def _load(path: str, parse, *args):
-    """parse(text, *args) on the file at path; a parse error names the file."""
+    """parse(text, *args) on the file at path; a parse error, or text that
+    does not decode, names the file."""
     with open(path) as fh:
-        text = fh.read()
-    try:
-        return parse(text, *args)
-    except ValueError as e:  # a ParseError
-        raise ValueError(f"{path}: {e}") from None
+        try:
+            return parse(fh.read(), *args)
+        except ValueError as e:  # a ParseError or a UnicodeDecodeError
+            raise ValueError(f"{path}: {e}") from None
 
 
 def _checked_search(args, out, T):

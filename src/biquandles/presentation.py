@@ -124,31 +124,30 @@ def knot_presentation(code: GaussCode) -> Presentation:
 NODE_BUDGET = 10 ** 6
 
 
-def eliminate(p: Presentation, max_nodes: int = NODE_BUDGET
-              ) -> tuple[tuple[int, ...], list[int]]:
+def eliminate(p: Presentation) -> tuple[tuple[int, ...], list[int]]:
     """Tietze reduction on leaf counts alone; returns (survivors, the
     eliminated generators in order).
 
     Each round eliminates the first relation, in listed order, whose
     isolated generator does not occur in its word.  (On knot presentations,
     listed order means ascending incoming semi-arc; this order reproduces
-    published reductions.)  If total word size exceeds max_nodes, it stops
-    with a warning.
+    published reductions.)  If total word size exceeds NODE_BUDGET, it
+    stops with a warning.
     """
     leaves = {r.rhs: _leaf_counts(r.lhs) for r in p.relations}
     if len(leaves) != len(p.relations):
         raise ValueError("isolated generators must be distinct")
-    return _eliminate(p.generators, leaves, max_nodes)
+    return _eliminate(p.generators, leaves)
 
 
 def survivors_of(relations, arcs: int) -> tuple[int, ...]:
     """The survivors of eliminate on the knot presentation of these crossing
     relations of semi-arcs 1..arcs, each word two distinct leaves."""
     leaves = {out: {a: 1, b: 1} for out, _kind, a, b in relations}
-    return _eliminate(range(1, arcs + 1), leaves, NODE_BUDGET)[0]
+    return _eliminate(range(1, arcs + 1), leaves)[0]
 
 
-def _eliminate(generators, leaves: dict[int, dict[int, int]], max_nodes: int
+def _eliminate(generators, leaves: dict[int, dict[int, int]]
                ) -> tuple[tuple[int, ...], list[int]]:
     # leaves: {isolated generator: its word's leaf counts}, in listed order,
     # used up.  A word that reads its own generator always will, so one pass
@@ -168,9 +167,9 @@ def _eliminate(generators, leaves: dict[int, dict[int, int]], max_nodes: int
                 for h, m in sub.items():
                     c[h] = c.get(h, 0) + k * m
                 total += 2 * k * (size - 1)
-        if total > max_nodes:
+        if total > NODE_BUDGET:
             warnings.warn(f"reduction stopped early: {total} word nodes exceeds "
-                          f"budget {max_nodes}")
+                          f"budget {NODE_BUDGET}")
             break
     gone = set(order)
     return tuple(g for g in generators if g not in gone), order
@@ -228,14 +227,13 @@ def reduce_to(p: Presentation, survivors) -> tuple[Presentation, dict[int, "Word
     return Presentation(tuple(survivors), rels), word
 
 
-def reduce_with_trace(p: Presentation, max_nodes: int = NODE_BUDGET
-                      ) -> tuple[Presentation, list[tuple[int, "Word"]]]:
+def reduce_with_trace(p: Presentation) -> tuple[Presentation, list[tuple[int, "Word"]]]:
     """Tietze reduction: eliminate, then reduce_to; the trace lists each
     (eliminated generator, its word over the survivors) in elimination order."""
-    kept, order = eliminate(p, max_nodes)
+    kept, order = eliminate(p)
     reduced, word = reduce_to(p, kept)
     return reduced, [(g, word[g]) for g in order]
 
 
-def reduce_presentation(p: Presentation, max_nodes: int = NODE_BUDGET) -> Presentation:
-    return reduce_with_trace(p, max_nodes)[0]
+def reduce_presentation(p: Presentation) -> Presentation:
+    return reduce_with_trace(p)[0]

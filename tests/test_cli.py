@@ -5,15 +5,18 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import warnings
 
 import pytest
 
+import biquandles
 from biquandles.cli import main
 from biquandles.core import (BlockConvention, alexander_biquandle,
                              read_biquandle, validate_biquandle, write_biquandle)
+from biquandles.gauss import serialize_gauss_code
 
 BQ = "data/kishinoT.bq"  # fixtures hand us absolute paths; commands get strings
 
@@ -25,6 +28,13 @@ def run(capsys):
         captured = capsys.readouterr()
         return rc, captured.out, captured.err
     return go
+
+
+def fresh(*argv, timeout):
+    """A fresh `python -m biquandles` process, as the console script runs,
+    stopped after timeout seconds."""
+    return subprocess.run([sys.executable, "-m", "biquandles", *argv],
+                          capture_output=True, text=True, timeout=timeout)
 
 
 # --- validate ----------------------------------------------------------------
@@ -166,6 +176,15 @@ def test_cohomology_mod_five(run, data_dir):
     assert out.splitlines()[0] == "reduced H^2 dimension 2 over Zp:5"
 
 
+def test_cohomology_of_order_23_answers_in_time(tmp_path):
+    # fed by descending leading column, the order-23 elimination does not
+    # fill in; fed top to bottom it took about eight times as long
+    table = tmp_path / "a23.bq"
+    table.write_text(write_biquandle(alexander_biquandle(23, 2, 3)))
+    done = fresh("cohomology", "--biquandle", str(table), timeout=20)
+    assert (done.returncode, done.stdout.splitlines()[0]) == (0, "reduced H^2 dimension 0 over Q")
+
+
 def test_cohomology_porcelain(run, data_dir):
     rc, out, _ = run("cohomology", "--porcelain",
                      "--biquandle", str(data_dir / "kishinoT.bq"))
@@ -294,6 +313,30 @@ def test_colorings_checks_search_size_before_validating(run, data_dir, tmp_path,
     assert err == "error: search too large: 50^5 = 312500000 candidate assignments\n"
 
 
+def test_colorings_refuses_a_long_knot_from_its_survivor_count(data_dir, tmp_path, random_code):
+    # a seeded 150-crossing knot keeps 93 survivors: the size check must
+    # refuse it from the count-only elimination, building no word
+    code = tmp_path / "k150.gauss"
+    code.write_text(serialize_gauss_code(random_code(random.Random(5), 150, 1)) + "\n")
+    done = fresh("colorings", "--count-only", "--code", str(code),
+                 "--biquandle", str(data_dir / "kishinoT.bq"), timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert re.fullmatch(r"error: search too large: 4\^93 = [0-9]* candidate assignments",
+                        errors[0])
+
+
+def test_colorings_scans_a_24_crossing_knot_in_time(data_dir, tmp_path, random_code):
+    # a seeded 24-crossing knot that a survivor order completing one
+    # relation at a time scans in 44 s; most constrained first, in 1 s
+    code = tmp_path / "k24.gauss"
+    code.write_text(serialize_gauss_code(random_code(random.Random(2), 24, 1)) + "\n")
+    done = fresh("colorings", "--count-only", "--code", str(code),
+                 "--biquandle", str(data_dir / "kishinoT.bq"), timeout=20)
+    assert (done.returncode, done.stdout) == (0, "4\n")
+
+
 def test_colorings_reduces_once(run, data_dir, monkeypatch):
     from biquandles import presentation
     calls = []
@@ -385,6 +428,18 @@ def test_invariant_porcelain(run, data_dir):
     assert json.loads(out) == {"terms": [["-2", 2], ["0", 12], ["2", 2]]}
 
 
+def test_invariant_of_phi1_halved(run, data_dir, tmp_path):
+    # the state sums are scaled by 2 on integers and divided back, a path
+    # no shipped cocycle takes
+    half = tmp_path / "phi1-half.cyc"
+    half.write_text("field Q\n1 3 -1/2\n2 1 -1/2\n2 2 -1/2\n3 2 -1/2\n")
+    argv = ["invariant", "--code", str(data_dir / "kishino.gauss"),
+            "--biquandle", str(data_dir / "kishinoT.bq"), "--cocycle", str(half)]
+    assert run(*argv)[:2] == (0, "2*t^-1/2 + 12 + 2*t^1/2\n")
+    assert run(*argv, "--porcelain")[:2] == \
+        (0, '{"terms": [["-1/2", 2], ["0", 12], ["1/2", 2]]}\n')
+
+
 def test_invariant_rejects_non_cocycle(run, data_dir, tmp_path):
     chi = tmp_path / "chi.cyc"
     chi.write_text("field Q\n1 2 1\n")
@@ -418,6 +473,21 @@ def test_invariant_parse_error_names_file(run, data_dir, flag, given, message):
     rc, out, err = run(*argv)
     assert (rc, err) == (1, f"error: {path}: {message}\n")
     assert json.loads(out) == {"error": f"{path}: {message}"} and out.count("\n") == 1
+
+
+@pytest.mark.parametrize("porcelain", [False, True], ids=["plain", "porcelain"])
+@pytest.mark.parametrize("flag", ["--code", "--biquandle", "--cocycle"])
+def test_undecodable_input_names_file(run, data_dir, tmp_path, flag, porcelain):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\x00\x01")
+    argv = ["invariant", "--code", str(data_dir / "kishino.gauss"),
+            "--biquandle", str(data_dir / "kishinoT.bq"),
+            "--cocycle", str(data_dir / "phi1.cyc")] + ["--porcelain"] * porcelain
+    argv[argv.index(flag) + 1] = str(binary)
+    rc, out, err = run(*argv)
+    message = f"{binary}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    assert (rc, err) == (1, f"error: {message}\n")
+    assert out == (json.dumps({"error": message}) + "\n" if porcelain else "")
 
 
 def test_gauss_token_past_digit_limit_names_file(run, data_dir, tmp_path):
@@ -593,8 +663,9 @@ def test_subcommand_loads_only_its_modules(data_dir, tmp_path, argv, loaded):
 def test_startup_imports_no_dataclasses_and_json_only_for_porcelain(data_dir):
     # one fresh interpreter runs every computing subcommand: record classes
     # are created without dataclasses (which pulls in inspect), and json is
-    # imported by the first --porcelain run, not before
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    # imported by the first --porcelain run, not before.  It imports the
+    # biquandles this suite imported, installed or not.
+    home = pathlib.Path(biquandles.__file__).resolve().parent.parent
     runs = [["validate", "--biquandle", BQ],
             ["alexander", "5", "2", "3"],
             ["cohomology", "--field", "Zp:7", "--biquandle", BQ],
@@ -614,6 +685,6 @@ def test_startup_imports_no_dataclasses_and_json_only_for_porcelain(data_dir):
               f"    main(['validate', '--porcelain', '--biquandle', {BQ!r}])\n"
               "print('porcelain', loaded())\n")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          cwd=data_dir.parent, env={**os.environ, "PYTHONPATH": str(src)})
+                          cwd=data_dir.parent, env={**os.environ, "PYTHONPATH": str(home)})
     assert done.stderr == ""
     assert done.stdout == "".join(f"{argv[0]} []\n" for argv in runs) + "porcelain ['json']\n"

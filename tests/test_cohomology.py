@@ -1,6 +1,7 @@
 """Second cohomology: cocycle condition, coboundaries, reduced basis, files."""
 
 import random
+import time
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -303,6 +304,35 @@ def test_universal_coefficients_on_relabelled_tables(n):
             # no torsion of these tables has order 2^61 - 1, so the GF(p)
             # elimination must give Q's dimensions, reduced ones included
             assert dims == over_q
+
+
+def test_order_4_census_h2(blank_search):
+    # Over Q and over GF(2^61 - 1) every census table has the same reduced
+    # and unreduced H^2 dimensions, and over Z2, Z3 and Z5 its unreduced
+    # dimension is never below Q's.  Every reduced basis vector over Q is
+    # primitive integers with a positive leading entry, and classify_cochain
+    # (whose coboundary test is RankTracker.add, not the bases' sparse span
+    # test) calls it a nontrivial RI-reduced cocycle.
+    nontrivial = ClassifiedCochain(CochainClass.NONTRIVIAL_COCYCLE, True)
+
+    def primitive(v):
+        c = [x for x in v.coeffs if x]
+        return all(x.denominator == 1 for x in c) and c[0] > 0 and \
+            gcd(*(x.numerator for x in c)) == 1
+
+    start = time.perf_counter()
+    found = blank_search(4).found
+    bad, bad_basis = [], []
+    for i, T in enumerate(found):
+        basis = reduced_cohomology_basis(T, Q)
+        q = len(cohomology_basis(T, Q)), len(basis)
+        if (len(cohomology_basis(T, FBIG)), len(reduced_cohomology_basis(T, FBIG))) != q or \
+                any(len(cohomology_basis(T, F)) < q[0] for F in (F2, F3, F5)):
+            bad.append(i)
+        if not all(primitive(v) and classify_cochain(T, v) == nontrivial for v in basis):
+            bad_basis.append(i)
+    assert (len(found), bad, bad_basis) == (744, [], [])
+    assert time.perf_counter() - start < 120
 
 
 def test_classify_random_sums(tables):

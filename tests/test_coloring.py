@@ -214,7 +214,8 @@ def test_scan_matches_odometer_on_random_codes(kishino_T, random_code):
                 i += 1
 
 
-def test_scan_matches_odometer_on_partial_reductions(trefoil_code, kishino_code, kishino_T):
+def test_scan_matches_odometer_on_partial_reductions(trefoil_code, kishino_code, kishino_T,
+                                                     monkeypatch):
     # A reduction cut short by its word budget leaves relations whose
     # isolated generator is not in their word, so the scan must wait for
     # that generator too before checking them.  With no elimination at all
@@ -224,8 +225,10 @@ def test_scan_matches_odometer_on_partial_reductions(trefoil_code, kishino_code,
         pres = knot_presentation(code)
         relations, arcs = crossing_relations(crossings_of(code)), code.n_semi_arcs
         for budget in (0, 24):
-            with pytest.warns(UserWarning, match="reduction stopped early"):
-                reduced, trace = reduce_with_trace(pres, budget)
+            with monkeypatch.context() as m, \
+                    pytest.warns(UserWarning, match="reduction stopped early"):
+                m.setattr(presentation, "NODE_BUDGET", budget)
+                reduced, trace = reduce_with_trace(pres)
             for T in tables:
                 assert scan_relations(T, relations, arcs, reduced.generators) == \
                     odometer_scan(T, reduced, trace, arcs), \
@@ -356,6 +359,12 @@ def test_generator_neither_survivor_nor_isolated_rejected():
         scan_relations(A, [(1, OpKind.UP, 2, 2)], 2, (1,))
     with pytest.raises(ValueError, match="generator 1 is neither"):
         reduce_to(Presentation((1, 2), (Relation(OpWord(OpKind.UP, 1, 1), 2),)), ())
+    # nor may a survivor lie outside the semi-arcs or come twice: it would
+    # index past the scan's levels, or scan every coloring once per copy
+    with pytest.raises(ValueError, match=r"survivor 5 is not a semi-arc 1\.\.1"):
+        scan_relations(A, [], 1, (1, 5))
+    with pytest.raises(ValueError, match="survivor 1 is repeated"):
+        scan_relations(A, [], 1, (1, 1))
 
 
 def test_scan_walks_long_survivor_chains_without_recursion():

@@ -4,6 +4,7 @@ import warnings
 import pytest
 from conftest import eval_word
 
+from biquandles import presentation
 from biquandles.core import OpKind, alexander_biquandle
 from biquandles.gauss import parse_gauss_code
 from biquandles.presentation import (NODE_BUDGET, OpWord, Presentation,
@@ -45,7 +46,8 @@ def word_generators(w) -> set[int]:
     return word_generators(w.left) | word_generators(w.right)
 
 
-def tree_reduce_with_trace(p, max_nodes=NODE_BUDGET):
+def tree_reduce_with_trace(p):
+    max_nodes = presentation.NODE_BUDGET
     rhs_seen = [r.rhs for r in p.relations]
     if len(set(rhs_seen)) != len(rhs_seen):
         raise ValueError("isolated generators must be distinct")
@@ -73,9 +75,12 @@ def tree_reduce_with_trace(p, max_nodes=NODE_BUDGET):
 
 
 def _with_warnings(reduce, pres, budget):
-    with warnings.catch_warnings(record=True) as caught:
+    """reduce(pres) with the word budget presentation.NODE_BUDGET set to
+    budget, and the warnings it gave."""
+    with pytest.MonkeyPatch.context() as m, warnings.catch_warnings(record=True) as caught:
+        m.setattr(presentation, "NODE_BUDGET", budget)
         warnings.simplefilter("always")
-        result = reduce(pres, budget)
+        result = reduce(pres)
     return result, [str(w.message) for w in caught]
 
 
@@ -119,8 +124,8 @@ def torus_code(n: int):
     return parse_gauss_code(",".join(f"{'-' * (i % 2)}{i % n + 1}" for i in range(2 * n)) + ",0")
 
 
-def _survivors(pres, budget):
-    return eliminate(pres, budget)[0]
+def _survivors(pres):
+    return eliminate(pres)[0]
 
 
 def test_eliminate_gives_the_reductions_survivors(random_code):
@@ -136,9 +141,10 @@ def test_eliminate_gives_the_reductions_survivors(random_code):
                 f"code {i}, budget {budget}"
 
 
-def rounds_eliminate(p, max_nodes=NODE_BUDGET):
+def rounds_eliminate(p):
     """eliminate as a loop of rounds, each rescanning the relations from
     the start for the first whose isolated generator is not in its word."""
+    max_nodes = presentation.NODE_BUDGET
     leaves = {r.rhs: _leaf_counts(r.lhs) for r in p.relations}
     total = sum(2 * sum(c.values()) - 1 for c in leaves.values())
     order = []
@@ -187,7 +193,7 @@ def test_reduction_builds_each_word_once(random_code, monkeypatch):
         init(self, *args)
     monkeypatch.setattr(OpWord, "__init__", counted)
     with pytest.warns(UserWarning, match="1186571 word nodes"):
-        kept = _survivors(pres, NODE_BUDGET)
+        kept = _survivors(pres)
     assert (len(kept), built) == (93, 0)
     with pytest.warns(UserWarning, match="1186571 word nodes"):
         reduced = reduce_presentation(pres)
@@ -257,10 +263,11 @@ def test_duplicate_isolated_generator_rejected():
         reduce_with_trace(Presentation((1, 2), (rel, rel)))
 
 
-def test_node_budget_warning(conway_code):
+def test_node_budget_warning(conway_code, monkeypatch):
+    monkeypatch.setattr(presentation, "NODE_BUDGET", 10)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        reduce_presentation(knot_presentation(conway_code), max_nodes=10)
+        reduce_presentation(knot_presentation(conway_code))
     assert any("stopped early" in str(w.message) for w in caught)
 
 
