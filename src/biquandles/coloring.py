@@ -61,16 +61,8 @@ def _stage(relations, arcs: int, survivors):
     relation checks (slot, survivor) that the level's survivor completes.
     Semi-arc g has value slot g; the left side of each relation that
     isolates a survivor gets a spare slot after the semi-arcs.  Raises
-    ValueError naming a survivor outside 1..arcs or repeated, and as
-    dependency_order does.
+    ValueError as dependency_order does.
     """
-    seen: set[int] = set()
-    for g in survivors:
-        if not 1 <= g <= arcs:
-            raise ValueError(f"survivor {g} is not a semi-arc 1..{arcs}")
-        if g in seen:
-            raise ValueError(f"survivor {g} is repeated")
-        seen.add(g)
     inputs = {out: (a, b) for out, _kind, a, b in relations}
     placed = dependency_order(range(1, arcs + 1), survivors, inputs)
     reads = {g: {g} for g in survivors}  # the survivors a color depends on

@@ -178,10 +178,18 @@ def _eliminate(generators, leaves: dict[int, dict[int, int]]
 def dependency_order(generators, survivors, reads) -> list[int]:
     """The generators that are not survivors, each after those its relation
     reads; reads maps each isolated generator to the generators it reads.
-    Raises ValueError naming a generator that is neither a survivor nor
-    isolated, and if the relations of the others form a cycle.
+    Raises ValueError naming a survivor that is repeated or not among the
+    generators, or a generator that is neither a survivor nor isolated, and
+    if the relations of the others form a cycle.
     """
-    done = set(survivors)
+    done: set[int] = set()
+    for g in survivors:
+        if g in done:
+            raise ValueError(f"survivor {g} is repeated")
+        done.add(g)
+    missing = done.difference(generators)
+    if missing:
+        raise ValueError(f"survivor {min(missing)} is not a generator")
     order: list[int] = []
     for g in generators:  # post-order on a stack that holds one path
         stack = [] if g in done else [g]
@@ -208,8 +216,10 @@ def reduce_to(p: Presentation, survivors) -> tuple[Presentation, dict[int, "Word
     is eliminated, and {eliminated generator: its word over the survivors}.
 
     The words do not depend on the order of elimination.  Each is built
-    once, after the words it reads, sharing them as a DAG.
+    once, after the words it reads, sharing them as a DAG.  Raises
+    ValueError as dependency_order does.
     """
+    survivors = tuple(survivors)
     lhs = {r.rhs: r.lhs for r in p.relations}
     kept = set(survivors)
     reads = {g: _leaf_counts(w) for g, w in lhs.items() if g not in kept}
@@ -221,10 +231,10 @@ def reduce_to(p: Presentation, survivors) -> tuple[Presentation, dict[int, "Word
         return OpWord(w.kind, build(w.left), build(w.right))
 
     # every generator, and every isolated one even if p.generators omits it
-    for g in dependency_order((*p.generators, *reads), kept, reads):
+    for g in dependency_order((*p.generators, *reads), survivors, reads):
         word[g] = build(lhs[g])
     rels = tuple(Relation(build(lhs[g]), g) for g in sorted(lhs) if g in kept)
-    return Presentation(tuple(survivors), rels), word
+    return Presentation(survivors, rels), word
 
 
 def reduce_with_trace(p: Presentation) -> tuple[Presentation, list[tuple[int, "Word"]]]:

@@ -13,10 +13,12 @@ import warnings
 import pytest
 
 import biquandles
+from biquandles import search
 from biquandles.cli import main
 from biquandles.core import (BlockConvention, alexander_biquandle,
                              read_biquandle, validate_biquandle, write_biquandle)
 from biquandles.gauss import serialize_gauss_code
+from biquandles.search import PartialBiquandle
 
 BQ = "data/kishinoT.bq"  # fixtures hand us absolute paths; commands get strings
 
@@ -110,6 +112,25 @@ def test_enumerate_writes_files(run, tmp_path):
     assert len(set(tables)) == 2
 
 
+def test_enumerate_writes_the_order_4_census(run, tmp_path, monkeypatch, blank_search):
+    # order 4 is the default limit, so it must run and write one file per
+    # table.  The session's finished search of the blank order-4 table
+    # stands in for complete_partial, which runs the same TableSearch.
+    found = blank_search(4).found
+
+    def census(P):
+        assert P == PartialBiquandle.blank(4)
+        return list(found)
+
+    monkeypatch.setattr(search, "complete_partial", census)
+    outdir = tmp_path / "order4"
+    rc, out, _ = run("enumerate", "4", "-o", str(outdir))
+    assert (rc, out) == (0, "744 biquandles of order 4\n")
+    files = sorted(p.name for p in outdir.iterdir())
+    assert files == [f"{i:04d}.bq" for i in range(1, 745)]
+    assert [read_biquandle((outdir / f).read_text()) for f in files] == found
+
+
 def test_enumerate_respects_limit(run, tmp_path):
     rc, out, err = run("enumerate", "5", "-o", str(tmp_path / "x"))
     assert (rc, out) == (1, "")
@@ -177,8 +198,8 @@ def test_cohomology_mod_five(run, data_dir):
 
 
 def test_cohomology_of_order_23_answers_in_time(tmp_path):
-    # fed by descending leading column, the order-23 elimination does not
-    # fill in; fed top to bottom it took about eight times as long
+    # the first line, in a fresh process under a 20 s bound; the feed order
+    # that keeps this elimination fast is pinned by test_elimination_work_pinned
     table = tmp_path / "a23.bq"
     table.write_text(write_biquandle(alexander_biquandle(23, 2, 3)))
     done = fresh("cohomology", "--biquandle", str(table), timeout=20)
@@ -311,6 +332,18 @@ def test_colorings_checks_search_size_before_validating(run, data_dir, tmp_path,
     rc, out, err = run(*argv)
     assert (rc, out) == (1, "")
     assert err == "error: search too large: 50^5 = 312500000 candidate assignments\n"
+
+
+def test_suite_refuses_order_50_in_time(data_dir, tmp_path):
+    # the same refusal on a valid order-50 table, in a fresh process under a
+    # 20 s bound: suite must refuse before it computes the table's H^2 or
+    # scans the knot's colorings
+    table = tmp_path / "a50.bq"
+    table.write_text(write_biquandle(alexander_biquandle(50, 3, 7)))
+    done = fresh("suite", "--code", str(data_dir / "conway.gauss"),
+                 "--biquandle", str(table), timeout=20)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "error: search too large: 50^5 = 312500000 candidate assignments\n"
 
 
 def test_colorings_refuses_a_long_knot_from_its_survivor_count(data_dir, tmp_path, random_code):

@@ -150,10 +150,13 @@ def test_elimination_work_pinned(monkeypatch):
     # Entry updates made by the one row update of the elimination in each
     # field: linalg._combine(a, w, b, row) over Q, linalg._axpy(w, f, row, p)
     # over GF(p).  Feeding the cocycle rows top to bottom instead of by
-    # descending leading column fills the stored rows in: 486,973 over Q.
-    A = alexander_biquandle(13, 2, 3)
-    for F, name, row_arg, pin in ((Q, "_combine", 3, 50390), (FieldSpec(13), "_axpy", 2, 57537),
-                                  (F2, "_axpy", 2, 28224)):
+    # descending leading column fills the stored rows in: 486,973 over Q on
+    # A(13,2,3), 13,688,785 (thirty times as long) on A(23,2,3).
+    A13, A23 = alexander_biquandle(13, 2, 3), alexander_biquandle(23, 2, 3)
+    for A, F, name, row_arg, pin in ((A13, Q, "_combine", 3, 50390),
+                                     (A13, FieldSpec(13), "_axpy", 2, 57537),
+                                     (A13, F2, "_axpy", 2, 28224),
+                                     (A23, Q, "_combine", 3, 561636)):
         updates = 0
         update = getattr(linalg, name)
 
@@ -165,7 +168,7 @@ def test_elimination_work_pinned(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(linalg, name, counted)
             assert reduced_cohomology_basis(A, F) == []
-        assert updates == pin, F.name()
+        assert updates == pin, (A.n, F.name())
 
 
 def test_cocycle_matrix_matches_reference_rows(kishino_T):

@@ -359,12 +359,17 @@ def test_generator_neither_survivor_nor_isolated_rejected():
         scan_relations(A, [(1, OpKind.UP, 2, 2)], 2, (1,))
     with pytest.raises(ValueError, match="generator 1 is neither"):
         reduce_to(Presentation((1, 2), (Relation(OpWord(OpKind.UP, 1, 1), 2),)), ())
-    # nor may a survivor lie outside the semi-arcs or come twice: it would
-    # index past the scan's levels, or scan every coloring once per copy
-    with pytest.raises(ValueError, match=r"survivor 5 is not a semi-arc 1\.\.1"):
+    # nor may a survivor lie outside the generators or come twice: the scan
+    # would index past its levels, or scan every coloring once per copy, and
+    # the reduced presentation would list a non-generator or one twice
+    with pytest.raises(ValueError, match="survivor 5 is not a generator"):
         scan_relations(A, [], 1, (1, 5))
     with pytest.raises(ValueError, match="survivor 1 is repeated"):
         scan_relations(A, [], 1, (1, 1))
+    with pytest.raises(ValueError, match="survivor 5 is not a generator"):
+        reduce_to(Presentation((1,), ()), (1, 5))
+    with pytest.raises(ValueError, match="survivor 1 is repeated"):
+        reduce_to(Presentation((1,), ()), (1, 1))
 
 
 def test_scan_walks_long_survivor_chains_without_recursion():
