@@ -144,9 +144,8 @@ def _cmd_cohomology(args, out):
     result = classify_cochain(T, given) if given else None
     if args.porcelain:
         payload = {"field": field.name(), "dimension": len(basis),
-                   "basis": [{f"{x} {y}": str(phi.value(x, y))
-                              for x in range(1, phi.n + 1) for y in range(1, phi.n + 1)
-                              if phi.value(x, y) != 0} for phi in basis]}
+                   "basis": [{f"{x} {y}": str(c) for x, y, c in phi.nonzero()}
+                             for phi in basis]}
         if result:
             payload["classification"] = {"kind": result.kind.value,
                                          "ri_reduced": result.ri_reduced}

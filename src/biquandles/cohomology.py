@@ -22,7 +22,6 @@ integer multiples over Q, tested against the coboundary span as they are.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from math import isqrt
 
 from .core import Biquandle, ParseError, Record, kink_witnesses, setfield
@@ -44,6 +43,17 @@ class Cochain2(Record):
 
     def value(self, x: int, y: int):
         return self.coeffs[(x - 1) * self.n + (y - 1)]
+
+    def nonzero(self) -> list[tuple[int, int, object]]:
+        """The (x, y, coefficient) triples of the nonzero coefficients, in
+        lexicographic order of (x, y)."""
+        n = self.n
+        return [(k // n + 1, k % n + 1, c) for k, c in enumerate(self.coeffs) if c]
+
+
+def _check_size(T: Biquandle, v: Cochain2) -> None:
+    if v.n != T.n:
+        raise ValueError(f"cochain is over {v.n} elements, biquandle over {T.n}")
 
 
 def cochain2_from_pairs(n: int, field: FieldSpec, pairs: dict) -> Cochain2:
@@ -89,6 +99,7 @@ def cocycle_matrix(T: Biquandle) -> ExactMatrix:
 
 
 def is_cocycle(T: Biquandle, v: Cochain2) -> bool:
+    _check_size(T, v)
     return not any(matvec(cocycle_matrix(T), v.coeffs, v.field))
 
 
@@ -145,6 +156,7 @@ def ri_constraint_pairs(T: Biquandle) -> list[tuple[int, int]]:
 
 
 def is_ri_reduced(T: Biquandle, v: Cochain2) -> bool:
+    _check_size(T, v)
     return all(not v.value(x, y) for x, y in ri_constraint_pairs(T))
 
 
@@ -192,45 +204,23 @@ def classify_cochain(T: Biquandle, v: Cochain2) -> ClassifiedCochain:
 # Display and file format.
 
 
-def _coeff_text(c) -> str:
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return str(c.numerator)
-    return str(c)
-
-
 def format_cochain(v: Cochain2) -> str:
     """Chi-notation, pairs in lexicographic order: -X(1,3)-X(2,1)+2*X(3,3)."""
-    n = v.n
     parts = []
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            c = v.value(x, y)
-            if not c:
-                continue
-            if c == 1:
-                parts.append(f"+X({x},{y})")
-            elif c == -1:
-                parts.append(f"-X({x},{y})")
-            else:
-                text = _coeff_text(c)
-                if not text.startswith("-"):
-                    text = "+" + text
-                parts.append(f"{text}*X({x},{y})")
-    if not parts:
-        return "0"
-    joined = "".join(parts)
-    return joined[1:] if joined.startswith("+") else joined
+    for x, y, c in v.nonzero():
+        if c == 1:
+            parts.append(f"+X({x},{y})")
+        elif c == -1:
+            parts.append(f"-X({x},{y})")
+        else:
+            text = str(c)
+            parts.append(f"{text if text.startswith('-') else '+' + text}*X({x},{y})")
+    return "".join(parts).removeprefix("+") or "0"
 
 
 def write_cochain(v: Cochain2) -> str:
     """One 'x y value' line per nonzero coefficient, after a field header."""
-    lines = [f"field {v.field.name()}"]
-    n = v.n
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            c = v.value(x, y)
-            if c:
-                lines.append(f"{x} {y} {_coeff_text(c)}")
+    lines = [f"field {v.field.name()}"] + [f"{x} {y} {c}" for x, y, c in v.nonzero()]
     return "\n".join(lines) + "\n"
 
 

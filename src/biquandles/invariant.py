@@ -21,7 +21,8 @@ from collections import Counter
 from fractions import Fraction
 from math import lcm
 
-from .cohomology import Cochain2, is_cocycle, is_ri_reduced, reduced_cohomology_basis
+from .cohomology import (Cochain2, _check_size, is_cocycle, is_ri_reduced,
+                         reduced_cohomology_basis)
 from .coloring import checked_search, scan_relations
 from .core import Biquandle, Record, setfield
 from .gauss import GaussCode, crossings_of
@@ -55,8 +56,6 @@ class LaurentMultiset(Record):
             return "0"
         parts = []
         for e, m in self.terms:
-            if isinstance(e, Fraction) and e.denominator == 1:
-                e = e.numerator
             if e == 0:
                 parts.append(f"{m}")
             elif e == 1:
@@ -85,11 +84,6 @@ def _state_sums(crossings, n: int, scaled, colorings) -> list[list[int]]:
              (x.under_out - 1, x.over_out - 1, n * n + n + 1) for x in crossings]
     indices = [[col[a] * n + col[b] + off for a, b, off in reads] for col in colorings]
     return [[sum(map(table.__getitem__, at)) for at in indices] for table, _p, _m in scaled]
-
-
-def _check_size(T: Biquandle, phi: Cochain2) -> None:
-    if phi.n != T.n:
-        raise ValueError(f"cochain is over {phi.n} elements, biquandle over {T.n}")
 
 
 def boltzmann_sum(code: GaussCode, T: Biquandle, phi: Cochain2, coloring) -> object:
@@ -127,7 +121,6 @@ def yb_invariant(code: GaussCode, T: Biquandle, phi: Cochain2) -> LaurentMultise
     (the result is then only an invariant of framed moves).
     """
     search = checked_search(code, T)
-    _check_size(T, phi)
     if not is_cocycle(T, phi):
         raise ValueError("cochain is not a cocycle")
     if not is_ri_reduced(T, phi):
