@@ -50,7 +50,10 @@ def _positive_int(text: str) -> int:
 
 
 def _convention(text: str) -> BlockConvention:
-    return BlockConvention.from_name(text)
+    try:
+        return BlockConvention.from_name(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _dump(obj, out) -> None:

@@ -137,6 +137,21 @@ class ValidationReport(Record):
         setfield(self, "failures", failures)
 
 
+def check_tables(tables, low: int) -> None:
+    """Raise ValueError unless tables is four n x n tables of ints in
+    low..n: 1 for a biquandle, 0 for a partial table (0 is a blank)."""
+    if len(tables) != 4:
+        raise ValueError("expected four operation tables")
+    n = len(tables[0])
+    for t in tables:
+        if len(t) != n or any(len(row) != n for row in t):
+            raise ValueError("operation tables must all be n x n")
+        for row in t:
+            for v in row:
+                if not isinstance(v, int) or not low <= v <= n:
+                    raise ValueError(f"table entry {v!r} outside {low}..{n}")
+
+
 class Biquandle(Record):
     """Operation tables over {1..n}; tables[k][a-1][b-1] = a op_k b.
 
@@ -150,16 +165,7 @@ class Biquandle(Record):
 
     def __init__(self, tables: tuple[tuple[tuple[int, ...], ...], ...]):
         setfield(self, "tables", tables)
-        if len(self.tables) != 4:
-            raise ValueError("expected four operation tables")
-        n = len(self.tables[0])
-        for t in self.tables:
-            if len(t) != n or any(len(row) != n for row in t):
-                raise ValueError("operation tables must all be n x n")
-            for row in t:
-                for v in row:
-                    if not isinstance(v, int) or not 1 <= v <= n:
-                        raise ValueError(f"table entry {v!r} outside 1..{n}")
+        check_tables(tables, 1)
 
     @staticmethod
     def from_tables(up, down, upbar, downbar) -> "Biquandle":

@@ -38,7 +38,7 @@ import itertools
 from functools import lru_cache
 
 from .core import (AXIOM_PAIR_EQS, AXIOM_TRIPLE_EQS, Biquandle, OpKind,
-                   Record, compile_sides, existential_failures,
+                   Record, check_tables, compile_sides, existential_failures,
                    place_variables, write_biquandle)
 
 Cell = tuple[OpKind, int, int]  # (table, row element, column element), 1-based
@@ -251,9 +251,11 @@ def _axiom_sides(n: int):
 class TableSearch(Engine):
     """Every valid completion of a partial table, by propagation and
     branching on the most-watched blank cell; run() returns them, and
-    nodes counts the propagations (the root and one per branch tried)."""
+    nodes counts the propagations (the root and one per branch tried).
+    Raises ValueError unless P is four n x n tables of ints in 0..n."""
 
     def __init__(self, P: PartialBiquandle):
+        check_tables(P.tables, 0)
         n = P.n
         sides, scratch = _axiom_sides(n)
         values = [v for t in P.tables for row in t for v in row]

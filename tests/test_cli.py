@@ -395,6 +395,14 @@ def test_jobs_must_be_positive(run, data_dir, jobs):
     assert "--jobs" in err
 
 
+def test_unknown_block_convention_is_a_usage_error(run, data_dir):
+    rc, out, err = run("validate", "--biquandle", str(data_dir / "kishinoT.bq"),
+                       "--block-convention", "foo")
+    assert (rc, out) == (2, "")
+    assert err.splitlines()[-1] == ("biquandles validate: error: argument "
+                                    "--block-convention: unknown block convention 'foo'")
+
+
 @pytest.mark.parametrize("limit", ["0", "-1", "two"])
 def test_enumerate_limit_must_be_positive(run, tmp_path, limit):
     rc, out, err = run("enumerate", "2", "-o", str(tmp_path / "x"), "--limit", limit)

@@ -418,6 +418,27 @@ def test_format_cochain_cases():
     assert format_cochain(v) == "-X(1,1)+2*X(1,2)+1/2*X(2,1)"
 
 
+@pytest.mark.parametrize("name,text,file", [
+    ("Q", "X(1,1)-X(1,3)-3/2*X(2,2)+5*X(3,1)+2*X(3,3)",
+     "field Q\n1 1 1\n1 3 -1\n2 2 -3/2\n3 1 5\n3 3 2\n"),
+    ("Zp:7", "X(1,1)+6*X(1,3)+2*X(2,2)+5*X(3,1)+2*X(3,3)",
+     "field Zp:7\n1 1 1\n1 3 6\n2 2 2\n3 1 5\n3 3 2\n"),
+], ids=["Q", "Zp:7"])
+def test_format_and_write_cochain_pinned(name, text, file):
+    field = FieldSpec.from_name(name)
+    v = cochain2_from_pairs(3, field, {(1, 1): 1, (1, 3): -1, (2, 2): "-3/2",
+                                       (3, 1): "5/1", (3, 3): 2})
+    assert (format_cochain(v), write_cochain(v)) == (text, file)
+    pairs = [(1, 1), (1, 3), (2, 2), (3, 1), (3, 3)]
+    assert v.nonzero() == [(x, y, v.value(x, y)) for x, y in pairs]
+
+
+def test_nonzero_terms():
+    assert zero_cochain(3, Q).nonzero() == []
+    v = cochain2_from_pairs(3, F5, {(3, 2): 4, (1, 3): "1/2", (2, 1): 5})
+    assert v.nonzero() == [(1, 3, 3), (3, 2, 4)]
+
+
 def test_write_read_roundtrip(data_dir, kishino_T):
     for name in ("phi1.cyc", "phi2.cyc"):
         text = (data_dir / name).read_text()

@@ -46,6 +46,8 @@ def test_laurent_empty_and_fraction_exponents():
     assert str(LaurentMultiset.from_exponents([])) == "0"
     m = LaurentMultiset.from_exponents([Fraction(1, 2), Fraction(2, 2), Fraction(0, 5)])
     assert str(m) == "1 + 1*t^1/2 + 1*t"
+    m = LaurentMultiset(((Fraction(-2), 1), (0, 2), (Fraction(1, 2), 1), (1, 3)))
+    assert str(m) == "1*t^-2 + 2 + 1*t^1/2 + 3*t"
 
 
 # --- frozen values ----------------------------------------------------------
@@ -326,6 +328,23 @@ def test_size_mismatch_rejected(unknot_code, kishino_T):
         yb_invariant(unknot_code, kishino_T, zero_cochain(2, Q))
     with pytest.raises(ValueError, match="cochain is over 2 elements, biquandle over 4"):
         boltzmann_sum(unknot_code, kishino_T, zero_cochain(2, Q), (1,))
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("entry", ["is_cocycle", "is_ri_reduced", "classify_cochain",
+                                   "boltzmann_sum", "yb_invariant"])
+def test_size_checked_at_every_entry_point(trefoil_code, kishino_T, entry, n):
+    # a 5-element cochain was once classified not-cocycle, a 3-element one
+    # raised IndexError
+    phi = cochain2_from_pairs(n, Q, {(1, 1): 1})
+    calls = {"is_cocycle": lambda: cohomology.is_cocycle(kishino_T, phi),
+             "is_ri_reduced": lambda: cohomology.is_ri_reduced(kishino_T, phi),
+             "classify_cochain": lambda: cohomology.classify_cochain(kishino_T, phi),
+             "boltzmann_sum": lambda: boltzmann_sum(trefoil_code, kishino_T, phi,
+                                                    (1,) * trefoil_code.n_semi_arcs),
+             "yb_invariant": lambda: yb_invariant(trefoil_code, kishino_T, phi)}
+    with pytest.raises(ValueError, match=f"^cochain is over {n} elements, biquandle over 4$"):
+        calls[entry]()
 
 
 def test_non_cocycle_rejected(unknot_code, kishino_T):

@@ -358,3 +358,26 @@ def test_enumerate_bounds():
         enumerate_biquandles(5)
     with pytest.raises(ValueError, match="n = 2 exceeds the enumeration limit 1"):
         enumerate_biquandles(2, limit=1)
+
+
+@pytest.mark.parametrize("bad", [-1, 7, 3])
+@pytest.mark.parametrize("entry", [complete_partial, propagate, waiting, TableSearch],
+                         ids=lambda f: f.__name__)
+def test_table_search_checks_its_input(entry, bad):
+    # -1 once came back as a "completion" with UP[1,1] = 2, 7 raised
+    # IndexError, 3 failed only at a search leaf, and propagate and waiting
+    # handed all three back
+    P = PartialBiquandle.blank(2)
+    P.set((OpKind.UP, 1, 1), bad)
+    with pytest.raises(ValueError, match=rf"table entry {bad} outside 0\.\.2"):
+        entry(P)
+
+
+@pytest.mark.parametrize("entry", [complete_partial, propagate, waiting])
+def test_table_search_rejects_ragged_tables(entry):
+    P = PartialBiquandle.blank(2)
+    P.tables[2][1] = [0]
+    with pytest.raises(ValueError, match="n x n"):
+        entry(P)
+    with pytest.raises(ValueError, match="four"):
+        entry(PartialBiquandle(P.tables[:3]))
