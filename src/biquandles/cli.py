@@ -169,10 +169,10 @@ def _cmd_cohomology(args, out):
 
 
 def _cmd_colorings(args, out):
-    from .coloring import scan_relations
+    from .coloring import scan_code
     T = _load(args.biquandle, read_biquandle, args.block_convention)
-    code, (_crossings, relations, survivors), shown = _checked_search(args, out, T)
-    cols = scan_relations(T, relations, code.n_semi_arcs, survivors)
+    code, _search, shown = _checked_search(args, out, T)
+    cols = scan_code(code, T)
     if args.porcelain:
         _dump({**shown, "count": len(cols), "colorings": [list(c) for c in cols]}, out)
         return 0

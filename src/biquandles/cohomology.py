@@ -42,7 +42,10 @@ class Cochain2(Record):
         return isqrt(len(self.coeffs))
 
     def value(self, x: int, y: int):
-        return self.coeffs[(x - 1) * self.n + (y - 1)]
+        n = self.n
+        if not (1 <= x <= n and 1 <= y <= n):
+            raise ValueError(f"pair ({x},{y}) outside 1..{n}")
+        return self.coeffs[(x - 1) * n + (y - 1)]
 
     def nonzero(self) -> list[tuple[int, int, object]]:
         """The (x, y, coefficient) triples of the nonzero coefficients, in

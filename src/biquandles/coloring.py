@@ -8,8 +8,8 @@ can check the other:
                              survivors, computing every other semi-arc
                              from the crossing relations and checking each
                              relation that isolates a survivor as soon as
-                             its inputs are known (scan_relations does all
-                             but the reduction);
+                             its inputs are known (scan_relations runs the
+                             same scan on given relations and survivors);
   enumerate_colorings_oracle depth-first fill-and-propagate directly on the
                              unreduced crossing relations, on the
                              constraint engine of the search module, which
@@ -23,8 +23,17 @@ can check the other:
 
 Both read the list of presentation.crossing_relations, building no word,
 and return colorings as tuples indexed by semi-arc (entry k-1 is the color
-of semi-arc k), sorted lexicographically.  checked_search hands the
-crossings on with their relations, so its callers read them once.
+of semi-arc k), sorted lexicographically.
+
+A code keeps its plan.  Everything the scan needs that no table changes is
+worked out once per GaussCode object and kept in its __dict__: the
+crossings, their relations and the survivors (search_plan, built on the
+code's first search), and the scan's staging of them (built on its first
+scan, so a search refused at the candidate cap stages nothing).  Every
+later table, cocycle and call reuses them: checked_search and
+enumerate_colorings read the plan, scan_code scans it, and scan_relations
+stages its own arguments for the one scan loop (_scan) the plan's scan
+also runs.  The cap is checked per (code, table), before validation.
 
 The scan is staged on the crossing relations themselves.  Tietze reduction
 eliminates a semi-arc only when its word no longer contains it, so the
@@ -90,18 +99,24 @@ def _stage(relations, arcs: int, survivors):
         at = max(level[a], level[b])
         steps[at].append((spare, kind, a, b))
         checks[max(at, level[s])].append((spare, s))
-    return order, steps, checks, arcs + 1 + len(checked)
+    n_slots = arcs + 1 + len(checked)
+    return tuple(order), tuple(map(tuple, steps)), tuple(map(tuple, checks)), n_slots
 
 
 def scan_relations(T: Biquandle, relations, arcs: int, survivors) -> list[tuple[int, ...]]:
     """All colorings of semi-arcs 1..arcs under these crossing relations,
     by a backtracking scan of the survivors of a Tietze reduction of them."""
+    check_search_size(T.n, len(survivors))
+    return _scan(T, _stage(relations, arcs, survivors), arcs)
+
+
+def _scan(T: Biquandle, staging, arcs: int) -> list[tuple[int, ...]]:
+    """The colorings of semi-arcs 1..arcs by T, scanned on a _stage result."""
     # Backtrack in staged order on a stack of one value iterator per level,
     # so a long chain of survivors needs no recursion.  Level i assigns
     # survivor i, looks up the colors (and survivor relations' left sides)
     # it completes, then checks the survivor relations it completes.
-    check_search_size(T.n, len(survivors))
-    order, steps, checks, n_slots = _stage(relations, arcs, survivors)
+    order, steps, checks, n_slots = staging
     tables = T.padded
     levels = [(g, [(dst, tables[kind], a, b) for dst, kind, a, b in step], check)
               for g, step, check in zip(order, steps, checks)]
@@ -141,24 +156,43 @@ def check_search_size(n: int, survivors: int) -> None:
             f"search too large: {n}^{survivors} = {total} candidate assignments")
 
 
-def checked_search(code: GaussCode, T: Biquandle) -> tuple[list, list, tuple[int, ...]]:
-    """The crossings of code, their crossing relations and the survivors of
-    eliminating these, once the scan by T is known to be under the
+def search_plan(code: GaussCode) -> tuple[tuple, tuple, tuple[int, ...]]:
+    """(crossings, crossing relations, survivors) of code, worked out on the
+    code's first search and kept in its __dict__ for every later one."""
+    kept = vars(code)
+    if "plan" not in kept:
+        crossings = tuple(crossings_of(code))
+        relations = tuple(crossing_relations(crossings))
+        kept["plan"] = crossings, relations, survivors_of(relations, code.n_semi_arcs)
+    return kept["plan"]
+
+
+def checked_search(code: GaussCode, T: Biquandle) -> tuple[tuple, tuple, tuple[int, ...]]:
+    """The search_plan of code, once the scan by T is known to be under the
     candidate cap and then T to be valid."""
-    crossings = crossings_of(code)
-    relations = crossing_relations(crossings)
-    survivors = survivors_of(relations, code.n_semi_arcs)
-    check_search_size(T.n, len(survivors))
+    plan = search_plan(code)
+    check_search_size(T.n, len(plan[2]))
     if not T.is_valid:
         raise ValueError("biquandle fails validation")
-    return crossings, relations, survivors
+    return plan
+
+
+def scan_code(code: GaussCode, T: Biquandle) -> list[tuple[int, ...]]:
+    """All colorings of code by T, with no check: the scan's staging of the
+    search_plan is built on the code's first scan and kept beside it."""
+    kept = vars(code)
+    if "staging" not in kept:
+        _crossings, relations, survivors = search_plan(code)
+        kept["staging"] = _stage(relations, code.n_semi_arcs, survivors)
+    return _scan(T, kept["staging"], code.n_semi_arcs)
 
 
 def enumerate_colorings(code: GaussCode, T: Biquandle) -> list[tuple[int, ...]]:
-    """All colorings, via reduction plus a backtracking scan of the survivors."""
-    relations = crossing_relations(crossings_of(code))
-    arcs = code.n_semi_arcs
-    return scan_relations(T, relations, arcs, survivors_of(relations, arcs))
+    """All colorings, via reduction plus a backtracking scan of the
+    survivors, once the scan is known to be under the candidate cap; T is
+    not validated."""
+    check_search_size(T.n, len(search_plan(code)[2]))
+    return scan_code(code, T)
 
 
 def _branch_order(relations, arcs: int) -> list[int]:

@@ -55,9 +55,15 @@ class Crossing(Record):
 
 class GaussCode(Record):
     """Validated, renumbered code: components of passages plus the renaming
-    that maps original input ids to 1..n (first-occurrence order)."""
+    that maps original input ids to 1..n (first-occurrence order).
 
-    __slots__ = ("components", "renaming")
+    Immutable after construction.  The coloring searches keep the code's
+    search plan in the instance __dict__, built on first use
+    (coloring.search_plan); it is no field, so equality, hashing, repr,
+    copy and pickle see the components and renaming only.
+    """
+
+    __slots__ = ("components", "renaming", "__dict__")
 
     def __init__(self, components: tuple[tuple[GaussEntry, ...], ...],
                  renaming: tuple[tuple[int, int], ...]):

@@ -9,8 +9,11 @@ zero cocycle recovers the counting invariant as N * t^0.
 The sums run on ints: each cocycle is scaled once into an int table, over
 Q by the lcm m of its denominators (_scaled; the suite keeps each basis
 cocycle's table in its _suite_basis entry), and each distinct sum s becomes
-Fraction(s, m) over Q or s % p over Z_p once.  The crossings come with the
-search (coloring.checked_search), which builds no presentation word.
+Fraction(s, m) over Q or s % p over Z_p once.  The crossings and the
+colorings come from the search plan the code keeps (coloring.search_plan,
+read by checked_search and scan_code): a code's reduction and scan staging
+are worked out once however many tables and cocycles evaluate it, and no
+presentation word is built.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from math import lcm
 
 from .cohomology import (Cochain2, _check_size, is_cocycle, is_ri_reduced,
                          reduced_cohomology_basis)
-from .coloring import checked_search, scan_relations
+from .coloring import checked_search, scan_code, search_plan
 from .core import Biquandle, Record, setfield
-from .gauss import GaussCode, crossings_of
+from .gauss import GaussCode
 from .linalg import FieldSpec
 
 
@@ -94,17 +97,16 @@ def boltzmann_sum(code: GaussCode, T: Biquandle, phi: Cochain2, coloring) -> obj
     than T."""
     _check_size(T, phi)
     _table, p, m = scaled = _scaled(phi)
-    s = _state_sums(crossings_of(code), T.n, [scaled], [coloring])[0][0]
+    s = _state_sums(search_plan(code)[0], T.n, [scaled], [coloring])[0][0]
     return s % p if p else Fraction(s, m)
 
 
 def _invariants(code: GaussCode, T: Biquandle, search, scaled) -> list[LaurentMultiset]:
     """The state-sum invariant of each _scaled cocycle, from one scan of
     the colorings over search = checked_search(code, T); no checks."""
-    crossings, relations, survivors = search
-    colorings = scan_relations(T, relations, code.n_semi_arcs, survivors)
+    colorings = scan_code(code, T)
     out = []
-    for sums, (_table, p, m) in zip(_state_sums(crossings, T.n, scaled, colorings), scaled):
+    for sums, (_table, p, m) in zip(_state_sums(search[0], T.n, scaled, colorings), scaled):
         if p:
             terms = sorted(Counter(s % p for s in sums).items())
         else:  # m > 0, so Fraction(s, m) keeps the order of s

@@ -67,13 +67,22 @@ class PartialBiquandle(Record, frozen=False):
     def copy(self) -> "PartialBiquandle":
         return PartialBiquandle([[row[:] for row in t] for t in self.tables])
 
-    def get(self, cell: Cell) -> int:
+    def _row(self, cell: Cell) -> tuple[list[int], int]:
+        """The row holding cell and the cell's index in it; raises
+        ValueError for elements outside 1..n."""
         k, a, b = cell
-        return self.tables[k][a - 1][b - 1]
+        n = self.n
+        if not (1 <= a <= n and 1 <= b <= n):
+            raise ValueError(f"elements ({a},{b}) outside 1..{n}")
+        return self.tables[k][a - 1], b - 1
+
+    def get(self, cell: Cell) -> int:
+        row, j = self._row(cell)
+        return row[j]
 
     def set(self, cell: Cell, value: int) -> None:
-        k, a, b = cell
-        self.tables[k][a - 1][b - 1] = value
+        row, j = self._row(cell)
+        row[j] = value
 
     def blanks(self) -> list[Cell]:
         n = self.n

@@ -185,6 +185,20 @@ def eval_word(w, T: Biquandle, assignment: dict[int, int]) -> int:
     return T.tables[w.kind][u - 1][v - 1]
 
 
+def count_calls(monkeypatch, *targets) -> dict[str, int]:
+    """{name: calls} of each (module, name) function, counted from now on."""
+    calls = {}
+    for module, name in targets:
+        real = getattr(module, name)
+        calls[name] = 0
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class LeafSearch(TableSearch):
     """A table search that keeps every complete table it reaches."""
 

@@ -404,6 +404,15 @@ def test_cochain_accessors():
         cochain2_from_pairs(3, Q, {(0, 1): 1})
 
 
+@pytest.mark.parametrize("x,y", [(1, 0), (0, 1), (3, 1), (1, 3), (-1, 2)])
+def test_cochain_value_checks_its_pair(x, y):
+    # (1, 0) once read coefficient (2, 2) through a negative index
+    v = cochain2_from_pairs(2, Q, {(2, 2): 5})
+    with pytest.raises(ValueError, match=rf"pair \({x},{y}\) outside 1\.\.2"):
+        v.value(x, y)
+    assert v.value(2, 2) == 5
+
+
 def test_cochain_length_must_be_a_square():
     assert Cochain2(Q, (Q.zero(),) * 16).n == 4
     assert Cochain2(Q, ()).n == 0

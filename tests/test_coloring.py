@@ -1,16 +1,18 @@
 """Coloring enumeration: both strategies, counting values, and validity."""
 
+import copy
+import pickle
 import random
 
 import pytest
-from conftest import eval_word
+from conftest import count_calls, eval_word
 
-from biquandles import coloring, presentation, search
-from biquandles.coloring import (SearchLimitError, counting_invariant,
+from biquandles import coloring, core, presentation, search
+from biquandles.coloring import (SearchLimitError, checked_search, counting_invariant,
                                  enumerate_colorings, enumerate_colorings_oracle,
-                                 scan_relations)
+                                 scan_code, scan_relations)
 from biquandles.core import Biquandle, OpKind, alexander_biquandle
-from biquandles.gauss import crossings_of, insert_r_move, parse_gauss_code
+from biquandles.gauss import crossings_of, insert_r_move, parse_gauss_code, serialize_gauss_code
 from biquandles.presentation import (OpWord, Presentation, Relation,
                                      crossing_relations, knot_presentation, reduce_to,
                                      reduce_with_trace, word_nodes)
@@ -289,14 +291,16 @@ def counting(T):
     return copy
 
 
-def test_scan_evaluates_each_subword_once(conway_code, monkeypatch):
+def test_scan_evaluates_each_subword_once(data_dir, monkeypatch):
     # Tietze substitution pastes whole words in for generators, so
     # Conway's 5 reduced relations are trees of 811 nodes.  They hold 22
     # distinct subwords, one per crossing relation (17 eliminated semi-arcs
     # and 5 survivor checks), and the scan stages the crossing relations
     # themselves: each is looked up once per assignment of the survivors it
     # reads.  Checking each reduced relation with the recursive eval_word
-    # instead would make 201,880 calls here.
+    # instead would make 201,880 calls here.  The code is parsed here, so
+    # that no plan an earlier test kept can change the count.
+    conway_code = parse_gauss_code((data_dir / "conway.gauss").read_text())
     pres = knot_presentation(conway_code)
     reduced = reduce_with_trace(pres)[0]
     assert sum(word_nodes(r.lhs) for r in reduced.relations) == 811
@@ -381,3 +385,61 @@ def test_scan_walks_long_survivor_chains_without_recursion():
         assert len(enumerate_colorings(code, alexander_biquandle(1, 1, 1))) == 1
     # no semi-arcs make no scan levels and the one empty coloring
     assert scan_relations(alexander_biquandle(3, 1, 2), [], 0, ()) == [()]
+
+
+# --- the plan a code keeps -----------------------------------------------------
+
+
+def test_one_plan_serves_every_table(blank_search, random_code, monkeypatch):
+    # One code object scanned by all 36 order-3 tables, unchecked and
+    # checked, reduces and stages once; each table's colorings equal a scan
+    # of a fresh parse of it.
+    code = random_code(random.Random(29), 6, 2)
+    tables = blank_search(3).found
+    assert len(tables) == 36
+    calls = count_calls(monkeypatch, (presentation, "_eliminate"), (coloring, "_stage"))
+    got = []
+    for T in tables:
+        checked_search(code, T)
+        got.append((enumerate_colorings(code, T), scan_code(code, T)))
+    assert calls == {"_eliminate": 1, "_stage": 1}
+    text = serialize_gauss_code(code)
+    for T, (unchecked, checked) in zip(tables, got):
+        assert unchecked == checked == enumerate_colorings(parse_gauss_code(text), T)
+    assert len({len(cols) for cols, _c in got}) > 1  # the tables do not all agree
+
+
+def test_refused_search_stages_nothing(data_dir, kishino_T, random_code, monkeypatch):
+    # Over the candidate cap the plan is worked out, but no staging is
+    # built and the table is not validated.
+    def never(*args):
+        raise AssertionError("staged or validated a refused search")
+    monkeypatch.setattr(coloring, "_stage", never)
+    monkeypatch.setattr(core, "validate_biquandle", never)
+    conway = parse_gauss_code((data_dir / "conway.gauss").read_text())
+    with pytest.warns(UserWarning, match="stopped early"):
+        long_knot = random_code(random.Random(5), 150, 1)
+        coloring.search_plan(long_knot)
+    for code, T, total in ((conway, alexander_biquandle(50, 3, 7), r"50\^5"),
+                           (long_knot, kishino_T, r"4\^93")):
+        for refused in (checked_search, enumerate_colorings, counting_invariant):
+            with pytest.raises(SearchLimitError, match=total):
+                refused(code, T)
+        assert set(vars(code)) == {"plan"}
+
+
+def test_kept_plan_leaves_the_record_alone(data_dir):
+    # The plan is no field: equality, hash and repr are a fresh parse's, and
+    # a copy or a pickled code is rebuilt from the fields, holding no plan.
+    text = (data_dir / "link-two-component.gauss").read_text()
+    code = parse_gauss_code(text)
+    assert len(enumerate_colorings(code, alexander_biquandle(5, 2, 3))) == 25
+    assert set(vars(code)) == {"plan", "staging"}
+    fresh = parse_gauss_code(text)
+    assert vars(fresh) == {}
+    assert code == fresh and hash(code) == hash(fresh) and repr(code) == repr(fresh)
+    for twin in (copy.copy(code), copy.deepcopy(code), pickle.loads(pickle.dumps(code))):
+        assert twin == code and twin is not code and vars(twin) == {}
+    assert all(isinstance(piece, tuple) for piece in coloring.search_plan(code))
+    with pytest.raises(AttributeError, match="frozen"):
+        code.plan = None

@@ -4,9 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import Cochain1, coboundary_of, reference_state_sum
+from conftest import Cochain1, coboundary_of, count_calls, reference_state_sum
 
-from biquandles import cohomology, core, invariant, presentation
+from biquandles import cohomology, coloring, core, invariant, presentation
 from biquandles.cohomology import (Cochain2, cochain2_from_pairs, read_cochain,
                                    reduced_cohomology_basis, zero_cochain)
 from biquandles.core import (Biquandle, BlockConvention, SearchLimitError, alexander_biquandle,
@@ -95,30 +95,50 @@ def test_suite(kishino_code, unknot_code, kishino_T):
         ["4", "4"]
 
 
-def test_suite_scans_colorings_once(conway_code, monkeypatch):
+def test_suite_scans_colorings_once(data_dir, monkeypatch):
     # A(5,2,3) over Z5 has four basis cocycles, and one scan serves them all.
     A = alexander_biquandle(5, 2, 3)
     scans = []
-    real = invariant.scan_relations
-    monkeypatch.setattr(invariant, "scan_relations",
-                        lambda *a, **k: scans.append(a) or real(*a, **k))
-    suite = yb_invariant_suite(conway_code, A, F5)
+    real = coloring._scan
+    monkeypatch.setattr(coloring, "_scan", lambda *a, **k: scans.append(a) or real(*a, **k))
+    suite = yb_invariant_suite(parse_gauss_code((data_dir / "conway.gauss").read_text()), A, F5)
     assert len(suite) == 4 and len(scans) == 1
 
 
-def test_oversized_search_refused_before_validation(conway_code, monkeypatch):
+def test_oversized_search_refused_before_validation(data_dir, monkeypatch):
     # Conway keeps 5 survivors, and 50^5 candidates are over the cap: both
     # functions refuse before the table's n^3 validation (1.4 s here) and
-    # the suite before its H^2 (minutes).
+    # the suite before its H^2 (minutes), and neither stages a scan.
     A = alexander_biquandle(50, 3, 7)
+    conway_code = parse_gauss_code((data_dir / "conway.gauss").read_text())
 
-    def never(T):
-        raise AssertionError("validated the table of an oversized search")
+    def never(*args):
+        raise AssertionError("validated or staged an oversized search")
     monkeypatch.setattr(core, "validate_biquandle", never)
+    monkeypatch.setattr(coloring, "_stage", never)
     with pytest.raises(SearchLimitError, match=r"50\^5"):
         yb_invariant(conway_code, A, zero_cochain(50, Q))
     with pytest.raises(SearchLimitError, match=r"50\^5"):
         yb_invariant_suite(conway_code, A, Q)
+
+
+def test_one_plan_serves_every_invariant(data_dir, kishino_T, phi1, monkeypatch):
+    # Two tables' suites, an invariant and the state sums of one code object
+    # reduce and stage it once; every value equals that of a fresh parse.
+    text = (data_dir / "kishino.gauss").read_text()
+    A = alexander_biquandle(5, 2, 3)
+
+    def values(code):  # code() gives the code object for each call
+        return [yb_invariant_suite(code(), kishino_T, Q), yb_invariant_suite(code(), A, F5),
+                yb_invariant(code(), kishino_T, phi1),
+                [boltzmann_sum(code(), kishino_T, phi1, c)
+                 for c in enumerate_colorings(code(), kishino_T)]]
+
+    calls = count_calls(monkeypatch, (presentation, "_eliminate"), (coloring, "_stage"))
+    code = parse_gauss_code(text)
+    got = values(lambda: code)
+    assert calls == {"_eliminate": 1, "_stage": 1}
+    assert got == values(lambda: parse_gauss_code(text))
 
 
 def test_suite_matches_one_invariant_per_cocycle(kishino_T, random_code):
@@ -300,14 +320,16 @@ def test_relation_path_matches_word_path(data_dir, kishino_T, random_code):
                 f"code {i} by order {T.n}"
 
 
-def test_invariants_build_no_words(kishino_code, kishino_T, phi1, monkeypatch):
+def test_invariants_build_no_words(data_dir, kishino_T, phi1, monkeypatch):
     # Words are for display and the reduction API: the colorings and both
-    # invariant functions run with every word record refused.
+    # invariant functions run with every word record refused, on a code
+    # parsed here, whose plan is worked out under the refusal.
     def refuse(*args, **kwargs):
         raise AssertionError("built a presentation word")
 
     for name in ("OpWord", "Relation", "Presentation"):
         monkeypatch.setattr(presentation, name, refuse)
+    kishino_code = parse_gauss_code((data_dir / "kishino.gauss").read_text())
     assert len(enumerate_colorings(kishino_code, kishino_T)) == 16
     assert str(yb_invariant(kishino_code, kishino_T, phi1)) == "2*t^-1 + 12 + 2*t"
     assert [str(v) for _phi, v in yb_invariant_suite(kishino_code, kishino_T, Q)] == \

@@ -373,6 +373,16 @@ def test_table_search_checks_its_input(entry, bad):
         entry(P)
 
 
+@pytest.mark.parametrize("a,b", [(0, 1), (1, 0), (3, 1), (1, 3), (-1, 1)])
+def test_partial_cell_access_checks_its_elements(a, b):
+    # element 0 once wrapped to n: set((UP, 0, 1), 1) wrote UP[2,1]
+    P = PartialBiquandle.blank(2)
+    for access in (lambda cell: P.get(cell), lambda cell: P.set(cell, 1)):
+        with pytest.raises(ValueError, match=rf"elements \({a},{b}\) outside 1\.\.2"):
+            access((OpKind.UP, a, b))
+    assert P == PartialBiquandle.blank(2)
+
+
 @pytest.mark.parametrize("entry", [complete_partial, propagate, waiting])
 def test_table_search_rejects_ragged_tables(entry):
     P = PartialBiquandle.blank(2)
