@@ -11,7 +11,7 @@ Q by the lcm m of its denominators (_scaled; the suite keeps each basis
 cocycle's table in its _suite_basis entry), and each distinct sum s becomes
 Fraction(s, m) over Q or s % p over Z_p once.  The crossings and the
 colorings come from the search plan the code keeps (coloring.search_plan,
-read by checked_search and scan_code): a code's reduction and scan staging
+read by checked_search and scan_code): a code's reduction and compiled scan
 are worked out once however many tables and cocycles evaluate it, and no
 presentation word is built.
 """
@@ -94,10 +94,16 @@ def boltzmann_sum(code: GaussCode, T: Biquandle, phi: Cochain2, coloring) -> obj
     ints as the module docstring says: a Fraction over Q, an int in 0..p-1
     over Z_p.  coloring is indexable by semi-arc - 1 (as returned by
     enumerate_colorings).  Errors if phi is over another number of elements
-    than T."""
+    than T, then if coloring is not a coloring of code by T."""
     _check_size(T, phi)
+    crossings, relations, _survivors = search_plan(code)
+    tables, arcs = T.padded, code.n_semi_arcs
+    if len(coloring) != arcs or not all(isinstance(c, int) and 0 < c <= T.n for c in coloring) \
+            or any(tables[kind][coloring[a - 1]][coloring[b - 1]] != coloring[out - 1]
+                   for out, kind, a, b in relations):
+        raise ValueError(f"not a coloring of the {arcs} semi-arcs by 1..{T.n}")
     _table, p, m = scaled = _scaled(phi)
-    s = _state_sums(search_plan(code)[0], T.n, [scaled], [coloring])[0][0]
+    s = _state_sums(crossings, T.n, [scaled], [coloring])[0][0]
     return s % p if p else Fraction(s, m)
 
 

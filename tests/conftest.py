@@ -185,6 +185,46 @@ def eval_word(w, T: Biquandle, assignment: dict[int, int]) -> int:
     return T.tables[w.kind][u - 1][v - 1]
 
 
+def reference_scan(T: Biquandle, staging, arcs: int) -> list[tuple[int, ...]]:
+    """The colorings of semi-arcs 1..arcs by T, found by interpreting a
+    coloring._stage result: the reference the kernels that
+    coloring._compile generates are checked against."""
+    # Backtrack in staged order on a stack of one value iterator per level,
+    # so a long chain of survivors needs no recursion.  Level i assigns
+    # survivor i, looks up the colors (and survivor relations' left sides)
+    # it completes, then checks the survivor relations it completes.
+    order, steps, checks, n_slots = staging
+    tables = T.padded
+    levels = [(g, [(dst, tables[kind], a, b) for dst, kind, a, b in step], check)
+              for g, step, check in zip(order, steps, checks)]
+    k = len(levels)
+    values = range(1, T.n + 1)
+    val = [0] * n_slots
+    if not k:
+        return [tuple(val[1:arcs + 1])]
+    found = []
+    stack = [iter(values)]
+    while stack:
+        slot, lookups, tests = levels[len(stack) - 1]
+        for v in stack[-1]:
+            val[slot] = v
+            for dst, tab, a, b in lookups:
+                val[dst] = tab[val[a]][val[b]]
+            for w, r in tests:
+                if val[w] != val[r]:
+                    break
+            else:
+                if len(stack) == k:
+                    found.append(tuple(val[1:arcs + 1]))
+                else:
+                    stack.append(iter(values))
+                    break  # descend; this level resumes where it stopped
+        else:
+            stack.pop()
+    found.sort()
+    return found
+
+
 def count_calls(monkeypatch, *targets) -> dict[str, int]:
     """{name: calls} of each (module, name) function, counted from now on."""
     calls = {}

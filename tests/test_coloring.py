@@ -3,9 +3,10 @@
 import copy
 import pickle
 import random
+import time
 
 import pytest
-from conftest import count_calls, eval_word
+from conftest import count_calls, eval_word, reference_scan
 
 from biquandles import coloring, core, presentation, search
 from biquandles.coloring import (SearchLimitError, checked_search, counting_invariant,
@@ -175,7 +176,8 @@ def test_oracle_uses_neither_reduction_nor_scan(data_dir, kishino_T, monkeypatch
         raise AssertionError("the oracle ran a part of the reduced scan")
 
     for module, name in ((presentation, "_eliminate"), (coloring, "survivors_of"),
-                         (coloring, "_stage"), (coloring, "scan_relations")):
+                         (coloring, "_stage"), (coloring, "_compile"),
+                         (coloring, "scan_relations")):
         monkeypatch.setattr(module, name, refuse)
     for name in SHIPPED_CODES:
         code = parse_gauss_code((data_dir / f"{name}.gauss").read_text())
@@ -316,6 +318,18 @@ def test_scan_evaluates_each_subword_once(data_dir, monkeypatch):
     assert CountingTable.lookups == 36_358
 
 
+def test_kept_kernel_makes_the_pinned_lookups(data_dir, monkeypatch):
+    # The kernel compiled on a code's first scan serves its second: each
+    # scan by a fresh counting table makes the pinned 36,358 lookups.
+    conway_code = parse_gauss_code((data_dir / "conway.gauss").read_text())
+    calls = count_calls(monkeypatch, (coloring, "_compile"))
+    for _ in range(2):
+        monkeypatch.setattr(CountingTable, "lookups", 0)
+        assert len(enumerate_colorings(conway_code, counting(alexander_biquandle(7, 2, 3)))) == 7
+        assert CountingTable.lookups == 36_358
+    assert calls == {"_compile": 1}
+
+
 def test_scan_orders_survivors_most_constrained_first(kishino_T, random_code, monkeypatch):
     # 12 survivors, where completing relations one pick at a time made
     # 119,578,624 table lookups: its early picks completed none.
@@ -387,22 +401,97 @@ def test_scan_walks_long_survivor_chains_without_recursion():
     assert scan_relations(alexander_biquandle(3, 1, 2), [], 0, ()) == [()]
 
 
+# --- the compiled kernel against the interpreting reference ---------------------
+
+
+def test_kernel_matches_reference_on_random_codes(blank_search, kishino_T, random_code):
+    # Knots and two-component links of 3 to 8 crossings, each code's kept
+    # kernel run by all 36 order-3 tables and kishinoT.
+    rng = random.Random(30)
+    tables = blank_search(3).found + [kishino_T]
+    for crossings in range(3, 9):
+        for components in (1, 2):
+            code = random_code(rng, crossings, components)
+            arcs = code.n_semi_arcs
+            _crossings, relations, survivors = coloring.search_plan(code)
+            staging = coloring._stage(relations, arcs, survivors)
+            for i, T in enumerate(tables):
+                assert scan_code(code, T) == reference_scan(T, staging, arcs), \
+                    f"{crossings} crossings, {components} components, table {i}"
+
+
+@pytest.mark.parametrize("levels", [15, 16, 17, 32, 33])
+def test_kernel_matches_reference_across_chunks(levels):
+    # Survivor i > 1 must equal (i - 1) op (i - 16, or 1), so each level
+    # checks a survivor up to one generated function back and keeps one
+    # value of n, and there are n colorings.  Semi-arc levels + j is looked
+    # up from survivors j and levels + 1 - j, at levels in every function.
+    # The cap stops a code at 26 levels for n >= 2, so the staging is
+    # built here: 16 levels are one function, 17 and 32 two, 33 three.
+    relations = [(i, i % 4, i - 1, max(1, i - 16)) for i in range(2, levels + 1)]
+    relations += [(levels + j, j % 4, j, levels + 1 - j) for j in range(1, levels + 1)]
+    arcs = 2 * levels
+    staging = coloring._stage(relations, arcs, tuple(range(1, levels + 1)))
+    assert staging[0] == tuple(range(1, levels + 1))
+    kernel = coloring._compile(staging, arcs)
+    for T in (alexander_biquandle(2, 1, 1), alexander_biquandle(3, 1, 2)):
+        found = coloring._scan(T, kernel)
+        assert len(found) == T.n and found == reference_scan(T, staging, arcs), f"order {T.n}"
+
+
+def test_kernel_of_no_semi_arcs():
+    staging = coloring._stage([], 0, ())
+    T = alexander_biquandle(3, 1, 2)
+    assert coloring._scan(T, coloring._compile(staging, 0)) == reference_scan(T, staging, 0) == [()]
+
+
+def test_kernel_source_grows_linearly_with_levels():
+    # 4,000 survivors by the one-element table make 250 generated
+    # functions.  Each stores a slot once, for the later functions that
+    # read it, and loads only what it reads.  Passing every semi-arc on
+    # through every call would make the source quadratic: 4.5 s here, not 0.2.
+    t0 = time.perf_counter()
+    found = scan_relations(alexander_biquandle(1, 1, 1), [], 4000, tuple(range(1, 4001)))
+    assert found == [(1,) * 4000] and time.perf_counter() - t0 < 2
+
+
+def test_compile_refuses_a_non_int_slot(monkeypatch):
+    # Only ints reach the generated source: anything else in a staging is
+    # refused before exec runs, and so is a kind that names no table.
+    def never(*args):
+        raise AssertionError("exec ran on a staging with a non-int slot")
+    monkeypatch.setattr(coloring, "exec", never, raising=False)
+    order, ((lookup, spare),), checks, n_slots = coloring._stage(
+        [(2, OpKind.UP, 1, 1), (1, OpKind.DOWN, 2, 2)], 2, (1,))
+    for bad in ((("__import__('os')",), ((lookup, spare),), checks, n_slots),
+                (order, ((lookup, (3, "0][0] + t1[0", 2, 2)),), checks, n_slots),
+                (order, ((lookup, spare),), (((3.0, 1),),), n_slots)):
+        with pytest.raises(ValueError):
+            coloring._compile(bad, 2)
+    # nor may a relation name a fifth table: kind 7 indexed past the four
+    # tables and kind -1 read the last one
+    for kind in (7, -1):
+        with pytest.raises(ValueError, match="not a valid OpKind"):
+            scan_relations(alexander_biquandle(3, 1, 2), [(2, kind, 1, 1)], 2, (1,))
+
+
 # --- the plan a code keeps -----------------------------------------------------
 
 
 def test_one_plan_serves_every_table(blank_search, random_code, monkeypatch):
     # One code object scanned by all 36 order-3 tables, unchecked and
-    # checked, reduces and stages once; each table's colorings equal a scan
-    # of a fresh parse of it.
+    # checked, reduces, stages and compiles once; each table's colorings
+    # equal a scan of a fresh parse of it.
     code = random_code(random.Random(29), 6, 2)
     tables = blank_search(3).found
     assert len(tables) == 36
-    calls = count_calls(monkeypatch, (presentation, "_eliminate"), (coloring, "_stage"))
+    calls = count_calls(monkeypatch, (presentation, "_eliminate"), (coloring, "_stage"),
+                        (coloring, "_compile"))
     got = []
     for T in tables:
         checked_search(code, T)
         got.append((enumerate_colorings(code, T), scan_code(code, T)))
-    assert calls == {"_eliminate": 1, "_stage": 1}
+    assert calls == {"_eliminate": 1, "_stage": 1, "_compile": 1}
     text = serialize_gauss_code(code)
     for T, (unchecked, checked) in zip(tables, got):
         assert unchecked == checked == enumerate_colorings(parse_gauss_code(text), T)
@@ -411,10 +500,11 @@ def test_one_plan_serves_every_table(blank_search, random_code, monkeypatch):
 
 def test_refused_search_stages_nothing(data_dir, kishino_T, random_code, monkeypatch):
     # Over the candidate cap the plan is worked out, but no staging is
-    # built and the table is not validated.
+    # built or compiled and the table is not validated.
     def never(*args):
-        raise AssertionError("staged or validated a refused search")
+        raise AssertionError("staged, compiled or validated a refused search")
     monkeypatch.setattr(coloring, "_stage", never)
+    monkeypatch.setattr(coloring, "_compile", never)
     monkeypatch.setattr(core, "validate_biquandle", never)
     conway = parse_gauss_code((data_dir / "conway.gauss").read_text())
     with pytest.warns(UserWarning, match="stopped early"):
@@ -434,7 +524,7 @@ def test_kept_plan_leaves_the_record_alone(data_dir):
     text = (data_dir / "link-two-component.gauss").read_text()
     code = parse_gauss_code(text)
     assert len(enumerate_colorings(code, alexander_biquandle(5, 2, 3))) == 25
-    assert set(vars(code)) == {"plan", "staging"}
+    assert set(vars(code)) == {"plan", "scan"}
     fresh = parse_gauss_code(text)
     assert vars(fresh) == {}
     assert code == fresh and hash(code) == hash(fresh) and repr(code) == repr(fresh)

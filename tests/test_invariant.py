@@ -134,10 +134,11 @@ def test_one_plan_serves_every_invariant(data_dir, kishino_T, phi1, monkeypatch)
                 [boltzmann_sum(code(), kishino_T, phi1, c)
                  for c in enumerate_colorings(code(), kishino_T)]]
 
-    calls = count_calls(monkeypatch, (presentation, "_eliminate"), (coloring, "_stage"))
+    calls = count_calls(monkeypatch, (presentation, "_eliminate"), (coloring, "_stage"),
+                        (coloring, "_compile"))
     code = parse_gauss_code(text)
     got = values(lambda: code)
-    assert calls == {"_eliminate": 1, "_stage": 1}
+    assert calls == {"_eliminate": 1, "_stage": 1, "_compile": 1}
     assert got == values(lambda: parse_gauss_code(text))
 
 
@@ -234,6 +235,18 @@ def test_boltzmann_sum_of_constant_coloring(kishino_code, kishino_T, phi1, phi2)
     ones = (1,) * kishino_code.n_semi_arcs
     assert boltzmann_sum(kishino_code, kishino_T, phi1, ones) == 0
     assert boltzmann_sum(kishino_code, kishino_T, phi2, ones) == 0
+
+
+def test_boltzmann_sum_refuses_what_is_no_coloring(kishino_code, kishino_T, phi1):
+    # Color 0 and a 7-entry tuple once summed to 0, reading the padding row
+    # or wrapping to the last entry, and color 5 raised a bare IndexError.
+    for bad in ((0,) * 8, (1,) * 7, (5,) * 8, (1,) * 7 + (2,)):
+        with pytest.raises(ValueError, match=r"not a coloring of the 8 semi-arcs by 1\.\.4"):
+            boltzmann_sum(kishino_code, kishino_T, phi1, bad)
+    real = (1, 1, 1, 1, 1, 2, 3, 2)
+    assert real in enumerate_colorings(kishino_code, kishino_T)
+    assert boltzmann_sum(kishino_code, kishino_T, phi1, real) == \
+        reference_state_sum(crossings_of(kishino_code), 4, phi1, real)
 
 
 # --- the int sums against field arithmetic ----------------------------------
