@@ -55,6 +55,7 @@ for a one-time cost of about 0.4 ms on Conway's knot.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 
 from .core import Biquandle, OpKind, SearchLimitError, compile_sides
@@ -131,9 +132,14 @@ def _compile(staging, arcs: int):
     kernel(t0, t1, t2, t3, values, append, {}) on the padded tables.  Slot
     s is the local v{s}; each CHUNK levels are one function, which puts in
     the dict the slots later ones read.  Only ints and OpKinds, by :d,
-    reach the source: anything else raises ValueError before exec."""
+    reach the source: anything else raises ValueError before exec.  A scan
+    deeper than half the recursion limit raises SearchLimitError first."""
     order, steps, checks, _n_slots = staging
     k = len(order)
+    depth, limit = -(-k // CHUNK), sys.getrecursionlimit()
+    if depth > limit // 2:
+        raise SearchLimitError(f"scan too deep: {k} levels need {depth} nested calls, "
+                               f"over half the recursion limit {limit}")
     levels = [[f"for v{g:d} in R:"]
               + [f"    v{d:d} = t{OpKind(op):d}[v{a:d}][v{b:d}]" for d, op, a, b in step]
               + [f"    if v{w:d} != v{r:d}: continue" for w, r in check]

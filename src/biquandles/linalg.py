@@ -25,7 +25,10 @@ and it stands for itself divided by d.  A row with Fraction entries is
 scaled by the lcm of its denominators on entry, and a kernel vector is
 kept as an integer multiple until output, so Fractions are built only
 for the vectors returned: the elimination runs on integers alone, with
-no prime, no reconstruction and nothing to certify.
+no prime, no reconstruction and nothing to certify.  Over GF(2) a stored
+row is an int with bit c set for column c, so a row update is one XOR
+(cf. M. Albrecht et al., "Algorithm 898", ACM TOMS 37 (2010)); the rows
+and kernel read out are the same dicts as over any other prime.
 """
 
 from __future__ import annotations
@@ -110,6 +113,8 @@ class FieldSpec(Record):
         if self.p is None:
             return Fraction(v)
         if isinstance(v, Fraction):
+            if not v.denominator % self.p:
+                raise ZeroDivisionError(f"{v} has no value in {self.name()}")
             return v.numerator * pow(v.denominator, -1, self.p) % self.p
         return v % self.p
 
@@ -132,7 +137,7 @@ class FieldSpec(Record):
         return -a if self.p is None else (-a) % self.p
 
     def inv(self, a):
-        if not a:
+        if not (a if self.p is None else a % self.p):
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a) if self.p is None else pow(a, -1, self.p)
 
@@ -193,6 +198,16 @@ def _combine(a: int, w: dict, b: int, row: dict) -> None:
             del w[c]
 
 
+def _bits(w: int) -> list[int]:
+    """The columns of the set bits of w, ascending."""
+    s, out = bin(w)[:1:-1], []
+    c = s.find("1")
+    while c >= 0:
+        out.append(c)
+        c = s.find("1", c + 1)
+    return out
+
+
 def primitive(w: dict) -> dict:
     """The integer row w over the gcd of its entries, its first entry positive."""
     g = gcd(*w.values())
@@ -208,13 +223,15 @@ class RankTracker:
     far, each nonzero at its pivot, its leading column, and 0 at every
     other row's pivot: over GF(p) a row that is 1 at its pivot, over Q a
     primitive integer row with a positive pivot entry, standing for itself
-    divided by that entry.  row_reduce feeds it a whole matrix.
+    divided by that entry; over GF(2) an int with bit c set for column c,
+    the pivots the bits of one int.  row_reduce feeds it a whole matrix.
     """
 
     def __init__(self, field: FieldSpec, dim: int):
         self.field = field
         self.dim = dim
-        self._rows: dict[int, dict] = {}  # pivot column -> reduced sparse row
+        self._rows: dict[int, dict | int] = {}  # pivot column -> reduced row
+        self._pivots = 0  # over GF(2): bit c set for each pivot column c
 
     @property
     def rank(self) -> int:
@@ -225,14 +242,14 @@ class RankTracker:
         of the reduced row echelon form of everything fed so far."""
         p = self.field.p
         return [{c: x if p else Fraction(x, row[lead]) for c, x in row.items()}
-                for lead, row in sorted(self._rows.items())]
+                for lead, row in sorted(self._sparse().items())]
 
     def kernel(self) -> list[tuple[int, dict]]:
         """The canonical null space basis of the stored rows R, sparse: per free
         column f, ascending, the vector v that is 1 at f, 0 at the other free
         columns and -R[row of c][f] at each pivot column c, as (m, m * v), m the
         lcm of the pivot entries v uses (so 1 over GF(p)) and m * v integers."""
-        rows = self._rows
+        rows = self._sparse()
         uses: dict[int, list] = {f: [] for f in range(self.dim) if f not in rows}
         for lead, row in rows.items():
             for c, x in row.items():
@@ -240,6 +257,12 @@ class RankTracker:
                     uses[c].append((lead, x, row[lead]))
         return [(m, {c: -x * (m // d) for c, x, d in used} | {f: m})
                 for f, used in uses.items() for m in [lcm(*(d for _, _, d in used))]]
+
+    def _sparse(self) -> dict[int, dict]:
+        """The stored rows by pivot column, as sparse dicts."""
+        if self.field.p != 2:
+            return self._rows
+        return {lead: dict.fromkeys(_bits(row), 1) for lead, row in self._rows.items()}
 
     def add(self, v) -> bool:
         """Reduce v against the stored rows; True iff v was independent."""
@@ -250,6 +273,8 @@ class RankTracker:
         p = self.field.p
         if p is None:
             return self._insert_integer(items)
+        if p == 2:
+            return self._insert_bits(items)
         coerce = self.field.coerce  # an int goes into GF(p) by one remainder
         w = {c: y for c, x in items if x and (y := x % p if type(x) is int else coerce(x))}
         rows = self._rows
@@ -269,6 +294,26 @@ class RankTracker:
             if f:
                 _axpy(row, f, w, p)
         rows[lead] = w
+        return True
+
+    def _insert_bits(self, items) -> bool:
+        """_insert over GF(2), on int rows: clearing a column is one XOR."""
+        coerce = self.field.coerce
+        rows = self._rows
+        get = rows.get
+        w = 0
+        for c, x in items:  # set bit c, then clear it by the row with pivot c, if any
+            if (x if type(x) is int else coerce(x)) & 1:
+                w ^= get(c, 0) ^ 1 << c
+        if not w:
+            return False
+        bit = w & -w
+        if self._pivots & (bit - 1):  # only a row whose pivot is left of bit can hold it
+            for k, row in rows.items():
+                if row & bit:
+                    rows[k] = row ^ w
+        rows[bit.bit_length() - 1] = w
+        self._pivots |= bit
         return True
 
     def _insert_integer(self, items) -> bool:

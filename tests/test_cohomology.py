@@ -20,7 +20,7 @@ from biquandles.cohomology import (Cochain2, ClassifiedCochain, CochainClass,
                                    ri_constraint_pairs, write_cochain,
                                    zero_cochain)
 from biquandles.core import ParseError, alexander_biquandle
-from biquandles.linalg import ExactMatrix, FieldSpec, RankTracker, kernel_basis, rref
+from biquandles.linalg import FieldSpec, RankTracker, kernel_basis
 
 Q = FieldSpec.from_name("Q")
 F2 = FieldSpec.from_name("Zp:2")
@@ -41,17 +41,16 @@ def tables(kishino_T):
 
 
 def reference_coboundary_basis(T, field):
-    """Dense images of the indicator 1-cochains, row-reduced as a matrix;
-    the reference for the coboundary span."""
+    """Dense images of the indicator 1-cochains, row-reduced by the dense
+    reference elimination; the reference for the coboundary span."""
     n = T.n
     images = []
     for a in range(1, n + 1):
         lam = Cochain1(field, tuple(field.one() if i == a - 1 else field.zero()
                                     for i in range(n)))
         images.append(list(coboundary_of(T, lam).coeffs))
-    R, pivots = rref(ExactMatrix.from_rows(images, field), field)
-    return [Cochain2(field, tuple(R.entries[i].get(k, field.zero()) for k in range(n * n)))
-            for i in range(len(pivots))]
+    R, pivots = reference_rref(images, field)
+    return [Cochain2(field, tuple(R[i])) for i in range(len(pivots))]
 
 
 def reference_primitive(coeffs: tuple) -> tuple:
@@ -149,13 +148,18 @@ def test_alexander_h2_dimensions_over_q(n, s, t, reduced, unreduced):
 def test_elimination_work_pinned(monkeypatch):
     # Entry updates made by the one row update of the elimination in each
     # field: linalg._combine(a, w, b, row) over Q, linalg._axpy(w, f, row, p)
-    # over GF(p).  Feeding the cocycle rows top to bottom instead of by
-    # descending leading column fills the stored rows in: 486,973 over Q on
-    # A(13,2,3), 13,688,785 (thirty times as long) on A(23,2,3).
+    # over GF(p), p >= 3.  Feeding the cocycle rows top to bottom instead of
+    # by descending leading column fills the stored rows in: 486,973 over Q
+    # on A(13,2,3), 13,688,785 (thirty times as long) on A(23,2,3).  Over
+    # GF(2) a row update is an XOR of int rows, and neither is called.
     A13, A23 = alexander_biquandle(13, 2, 3), alexander_biquandle(23, 2, 3)
+    with monkeypatch.context() as m:
+        for name in ("_axpy", "_combine"):
+            m.setattr(linalg, name, None)
+        assert reduced_cohomology_basis(A13, F2) == []
     for A, F, name, row_arg, pin in ((A13, Q, "_combine", 3, 50390),
                                      (A13, FieldSpec(13), "_axpy", 2, 57537),
-                                     (A13, F2, "_axpy", 2, 28224),
+                                     (A13, F3, "_axpy", 2, 43091),
                                      (A23, Q, "_combine", 3, 561636)):
         updates = 0
         update = getattr(linalg, name)
@@ -212,6 +216,27 @@ def test_bases_match_dense_reference(key, kishino_T):
             assert set(types) <= {Fraction if F.is_rational else int}
             nonzero += bool(got)
     assert nonzero >= 6
+
+
+def test_gf2_bases_match_dense_reference(blank_search):
+    # The Z2 bases come off int rows (linalg.RankTracker over GF(2)); they
+    # must equal the dense reference, entry types included, on A(8,3,5),
+    # A(10,3,7), all 36 order-3 tables and a seeded relabelling of each.
+    tables = [alexander_biquandle(8, 3, 5), alexander_biquandle(10, 3, 7)]
+    tables += blank_search(3).found
+    rng = random.Random(20261021)
+    tables += [relabel(T, rng.sample(range(1, T.n + 1), T.n)) for T in tables]
+    assert len(tables) == 76
+    dims = []
+    for T in tables:
+        got = [cohomology_basis(T, F2), reduced_cohomology_basis(T, F2), coboundary_basis(T, F2)]
+        want = [reference_h2_basis(T, F2, False), reference_h2_basis(T, F2, True),
+                reference_coboundary_basis(T, F2)]
+        assert got == want, T.tables
+        assert {type(c) for basis in got for v in basis for c in v.coeffs} <= {int}
+        dims.append(tuple(map(len, got)))
+    assert (8, 6) == dims[0][:2] and (28, 22) == dims[1][:2]
+    assert len(set(dims)) > 3
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -455,6 +455,16 @@ def test_kernel_source_grows_linearly_with_levels():
     assert found == [(1,) * 4000] and time.perf_counter() - t0 < 2
 
 
+def test_scan_deeper_than_the_stack_is_refused(monkeypatch):
+    # 17,000 levels would nest 1,063 generated calls, past the default
+    # recursion limit of 1,000: refused before any source is generated.
+    monkeypatch.setattr(coloring, "exec", None, raising=False)
+    t0 = time.perf_counter()
+    with pytest.raises(SearchLimitError, match="17000 levels need 1063 nested calls"):
+        scan_relations(alexander_biquandle(1, 1, 1), [], 17000, tuple(range(1, 17001)))
+    assert time.perf_counter() - t0 < 0.5
+
+
 def test_compile_refuses_a_non_int_slot(monkeypatch):
     # Only ints reach the generated source: anything else in a staging is
     # refused before exec runs, and so is a kind that names no table.

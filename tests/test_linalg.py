@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from biquandles.linalg import (QQ, ExactMatrix, FieldSpec, _MR_BOUND, RankTracker,
-                               _is_prime, kernel_basis, matvec, rref)
+                               _is_prime, dense, kernel_basis, matvec, rref)
 
 F2 = FieldSpec(2)
 F5 = FieldSpec(5)
@@ -116,6 +116,61 @@ def test_sparse_elimination_matches_reference(F, seed):
     for v in (rows[-1], random_rows(rng, F, 1, n_cols)[0]):
         expected = len(reference_rref(rows + [v], F)[1]) == len(ref_pivots)
         assert (not span_of(rows, F, n_cols).add(v)) == expected
+
+
+def gf2_rows(rng: random.Random, n_rows: int, n_cols: int) -> list[list]:
+    """Sparse random rows for GF(2), not reduced into it: odd and even ints
+    of either sign and Fractions with odd denominators, with zero rows,
+    repeated rows and sums of two earlier rows mixed in."""
+    def entry():
+        if rng.random() < 0.7:
+            return 0
+        return rng.choice((rng.randint(-5, 5), 2 * rng.randint(-3, 3),
+                           Fraction(rng.randint(-5, 5), rng.choice((1, 3, 5, 7)))))
+
+    rows: list[list] = []
+    for _ in range(n_rows):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append([0] * n_cols)
+        elif kind < 0.2 and rows:
+            rows.append(list(rng.choice(rows)))
+        elif kind < 0.35 and len(rows) >= 2:
+            a, b = rng.sample(rows, 2)
+            rows.append([x + y for x, y in zip(a, b)])
+        else:
+            rows.append([entry() for _ in range(n_cols)])
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bitset_elimination_matches_reference(seed):
+    # Over GF(2) the tracker keeps its rows as ints; what it gives back, and
+    # when, must equal the dense reference on the same raw entries.
+    rng = random.Random(3100 + seed)
+    n_rows, n_cols = rng.randint(20, 40), rng.randint(10, 30)
+    rows = gf2_rows(rng, n_rows, n_cols)
+    M = ExactMatrix(n_rows, n_cols, [{c: x for c, x in enumerate(row) if x} for row in rows])
+    ref_R, ref_pivots = reference_rref(rows, F2)
+    R, pivots = rref(M, F2)
+    assert (R.data, pivots) == (ref_R, ref_pivots)
+    assert {type(x) for row in R.entries for x in row.values()} <= {int}
+    assert kernel_basis(M, F2) == reference_kernel(rows, n_cols, F2)
+
+    # add, with rows and kernel read between adds
+    tracker, fed, rank = RankTracker(F2, n_cols), 0, 0
+    for k in sorted({rng.randrange(1, n_rows) for _ in range(4)} | {n_rows}):
+        rank += sum(tracker.add(row) for row in rows[fed:k])
+        fed = k
+        ref_R, ref_pivots = reference_rref(rows[:k], F2)
+        assert tracker.rank == rank == len(ref_pivots)
+        assert [[row.get(c, 0) for c in range(n_cols)] for row in tracker.rows()] \
+            == ref_R[:rank]
+        assert [dense(F2, n_cols, m, w) for m, w in tracker.kernel()] \
+            == reference_kernel(rows[:k], n_cols, F2)
+    for v in (rows[0], gf2_rows(rng, 1, n_cols)[0]):
+        expected = len(reference_rref(rows + [v], F2)[1]) == rank
+        assert (not tracker.add(v)) == expected
 
 
 def raw_int_rows(rng: random.Random, F: FieldSpec, n_rows: int, n_cols: int) -> list[list]:
@@ -262,8 +317,14 @@ def test_field_arithmetic_mod_p():
     assert F5.mul(3, 4) == 2
     assert F5.inv(3) == 2
     assert F5.neg(2) == 3
-    with pytest.raises(ZeroDivisionError):
-        F5.inv(0)
+    # a zero of the field is a zero however it is written
+    for zero in (0, 5, 10):
+        with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+            F5.inv(zero)
+    with pytest.raises(ZeroDivisionError, match="1/5 has no value in Zp:5"):
+        F5.coerce("1/5")
+    with pytest.raises(ZeroDivisionError, match="1/2 has no value in Zp:2"):
+        RankTracker(F2, 2).add((Fraction(1, 2), 1))
 
 
 def test_rref_identity():
