@@ -17,7 +17,10 @@ per free column; kernel_basis is its dense form).  An independence or
 membership test is one RankTracker.add.  The work follows the nonzeros;
 a cocycle matrix is n^3 x n^2 with at most 6 nonzeros per row.
 
-Over GF(p) a stored row is 1 at its pivot.  Over Q the elimination is
+Over GF(p) a stored row is 1 at its pivot, and for p >= 3 a new row is
+reduced in a dense scratch list (the sparse accumulator of Gilbert, Moler
+and Schreiber, SIAM J. Matrix Anal. Appl. 13 (1992)), so a row that
+depends on the stored ones builds no dict.  Over Q the elimination is
 fraction-free (cf. E. H. Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 22 (1968)): a
 stored row is a primitive integer row whose pivot entry d is positive,
@@ -224,7 +227,9 @@ class RankTracker:
     other row's pivot: over GF(p) a row that is 1 at its pivot, over Q a
     primitive integer row with a positive pivot entry, standing for itself
     divided by that entry; over GF(2) an int with bit c set for column c,
-    the pivots the bits of one int.  row_reduce feeds it a whole matrix.
+    the pivots the bits of one int.  Over GF(p), p >= 3, the dense list _acc
+    holds the row being reduced, all 0 between calls.  row_reduce feeds it
+    a whole matrix.
     """
 
     def __init__(self, field: FieldSpec, dim: int):
@@ -232,6 +237,7 @@ class RankTracker:
         self.dim = dim
         self._rows: dict[int, dict | int] = {}  # pivot column -> reduced row
         self._pivots = 0  # over GF(2): bit c set for each pivot column c
+        self._acc = [0] * dim if field.p not in (None, 2) else None  # the row being reduced
 
     @property
     def rank(self) -> int:
@@ -241,16 +247,23 @@ class RankTracker:
         """The stored sparse rows in ascending pivot order: the nonzero rows
         of the reduced row echelon form of everything fed so far."""
         p = self.field.p
+        if p == 2:
+            return [dict.fromkeys(_bits(row), 1) for _, row in sorted(self._rows.items())]
         return [{c: x if p else Fraction(x, row[lead]) for c, x in row.items()}
-                for lead, row in sorted(self._sparse().items())]
+                for lead, row in sorted(self._rows.items())]
 
     def kernel(self) -> list[tuple[int, dict]]:
         """The canonical null space basis of the stored rows R, sparse: per free
         column f, ascending, the vector v that is 1 at f, 0 at the other free
         columns and -R[row of c][f] at each pivot column c, as (m, m * v), m the
         lcm of the pivot entries v uses (so 1 over GF(p)) and m * v integers."""
-        rows = self._sparse()
+        rows = self._rows
         uses: dict[int, list] = {f: [] for f in range(self.dim) if f not in rows}
+        if self.field.p == 2:  # every bit of a row but its pivot is a free column
+            for lead, row in rows.items():
+                for c in _bits(row)[1:]:
+                    uses[c].append(lead)
+            return [(1, dict.fromkeys(used, -1) | {f: 1}) for f, used in uses.items()]
         for lead, row in rows.items():
             for c, x in row.items():
                 if c != lead:
@@ -258,29 +271,49 @@ class RankTracker:
         return [(m, {c: -x * (m // d) for c, x, d in used} | {f: m})
                 for f, used in uses.items() for m in [lcm(*(d for _, _, d in used))]]
 
-    def _sparse(self) -> dict[int, dict]:
-        """The stored rows by pivot column, as sparse dicts."""
-        if self.field.p != 2:
-            return self._rows
-        return {lead: dict.fromkeys(_bits(row), 1) for lead, row in self._rows.items()}
-
     def add(self, v) -> bool:
-        """Reduce v against the stored rows; True iff v was independent."""
+        """Reduce v against the stored rows; True iff v was independent.
+        ValueError if v is longer than the tracker's dimension."""
+        if len(v) > self.dim:
+            raise ValueError(f"a vector of length {len(v)} does not fit dimension {self.dim}")
         return self._insert(enumerate(v))
 
     def _insert(self, items) -> bool:
-        """add for a row given as its (column, value) pairs."""
+        """add for a row given as its (column, value) pairs; over GF(p), p >= 3,
+        scattered into _acc, cleared there by stored rows, gathered back."""
         p = self.field.p
         if p is None:
             return self._insert_integer(items)
         if p == 2:
             return self._insert_bits(items)
         coerce = self.field.coerce  # an int goes into GF(p) by one remainder
-        w = {c: y for c, x in items if x and (y := x % p if type(x) is int else coerce(x))}
-        rows = self._rows
-        # Stored rows are 0 at each other's pivots, so one pass clears every pivot of w.
-        for c in [c for c in w if c in rows]:
-            _axpy(w, w[c], rows[c], p)
+        acc, rows = self._acc, self._rows
+        touched, hits = [], []
+        try:
+            for c, x in items:
+                if x and (y := x % p if type(x) is int else coerce(x)):
+                    acc[c] = y
+                    touched.append(c)
+                    if c in rows:
+                        hits.append(c)
+        except BaseException:  # a refused entry: leave acc all 0, as between calls
+            for c in touched:
+                acc[c] = 0
+            raise
+        # Stored rows are 0 at each other's pivots, so acc[c] still holds the
+        # row's entry when the row with pivot c clears it: one pass clears all.
+        for c in hits:
+            f = acc[c]
+            for k, x in rows[c].items():
+                y = acc[k]
+                if not y:
+                    touched.append(k)
+                acc[k] = (y - f * x) % p
+        w = {}
+        for c in touched:  # gather, leaving acc all 0
+            if y := acc[c]:
+                w[c] = y
+                acc[c] = 0
         if not w:
             return False
         lead = min(w)

@@ -9,7 +9,7 @@ from biquandles.cohomology import Cochain2
 from biquandles.core import (Biquandle, BlockConvention, Record, alexander_biquandle,
                              read_biquandle, setfield)
 from biquandles.gauss import parse_gauss_code
-from biquandles.linalg import FieldSpec
+from biquandles.linalg import FieldSpec, RankTracker, _axpy
 from biquandles.search import PartialBiquandle, TableSearch
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
@@ -223,6 +223,35 @@ def reference_scan(T: Biquandle, staging, arcs: int) -> list[tuple[int, ...]]:
             stack.pop()
     found.sort()
     return found
+
+
+class ReferenceTracker(RankTracker):
+    """A RankTracker over GF(p), p >= 3, that reduces each row as a dict
+    by one _axpy per stored pivot: the reference the dense accumulator
+    of RankTracker._insert is checked against."""
+
+    def _insert(self, items) -> bool:
+        p = self.field.p
+        coerce = self.field.coerce  # an int goes into GF(p) by one remainder
+        w = {c: y for c, x in items if x and (y := x % p if type(x) is int else coerce(x))}
+        rows = self._rows
+        # Stored rows are 0 at each other's pivots, so one pass clears every pivot of w.
+        for c in [c for c in w if c in rows]:
+            _axpy(w, w[c], rows[c], p)
+        if not w:
+            return False
+        lead = min(w)
+        inv = self.field.inv(w[lead])
+        if inv != 1:
+            w = {c: x * inv % p for c, x in w.items()}
+        # w is 0 at every stored pivot, and a stored row that is nonzero at lead
+        # has its pivot left of lead, so clearing lead keeps every row reduced.
+        for row in rows.values():
+            f = row.get(lead)
+            if f:
+                _axpy(row, f, w, p)
+        rows[lead] = w
+        return True
 
 
 def count_calls(monkeypatch, *targets) -> dict[str, int]:

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import ReferenceTracker
+
 from biquandles.linalg import (QQ, ExactMatrix, FieldSpec, _MR_BOUND, RankTracker,
                                _is_prime, dense, kernel_basis, matvec, rref)
 
@@ -171,6 +173,79 @@ def test_bitset_elimination_matches_reference(seed):
     for v in (rows[0], gf2_rows(rng, 1, n_cols)[0]):
         expected = len(reference_rref(rows + [v], F2)[1]) == rank
         assert (not tracker.add(v)) == expected
+
+
+def gfp_rows(rng: random.Random, p: int, n_rows: int, n_cols: int) -> list[list]:
+    """Sparse random rows for GF(p), not reduced into it: negative ints,
+    ints at or above p, Fractions and 'a/b' strings with denominators p
+    does not divide, with zero rows, repeated rows and combinations of
+    earlier rows mixed in."""
+    dens = [d for d in (1, 2, 3, 4, 5, 7) if d % p]
+
+    def entry():
+        if rng.random() < 0.7:
+            return 0
+        return rng.choice((rng.randint(-9, -1), rng.randint(1, 3) * p + rng.randint(0, 9),
+                           rng.randrange(p), Fraction(rng.randint(-9, 9), rng.choice(dens)),
+                           f"{rng.randint(-9, 9)}/{rng.choice(dens)}"))
+
+    rows: list[list] = []
+    for _ in range(n_rows):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append([0] * n_cols)
+        elif kind < 0.2 and rows:
+            rows.append(list(rng.choice(rows)))
+        elif kind < 0.5 and len(rows) >= 2:
+            (a, b), f, g = rng.sample(rows, 2), rng.randint(-5, 5), rng.randint(-5, 5)
+            rows.append([f * Fraction(x) + g * Fraction(y) for x, y in zip(a, b)])
+        else:
+            rows.append([entry() for _ in range(n_cols)])
+    return rows
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 2 ** 61 - 1])
+@pytest.mark.parametrize("seed", range(4))
+def test_accumulator_matches_dict_reference(p, seed):
+    # Over GF(p), p >= 3, the tracker reduces each row in a dense scratch
+    # list; after every add it must hold what the dict elimination holds,
+    # with the list all 0 again.
+    rng = random.Random(3200 + seed)
+    F = FieldSpec(p)
+    n_rows, n_cols = rng.randint(30, 60), rng.randint(10, 30)
+    tracker, ref = RankTracker(F, n_cols), ReferenceTracker(F, n_cols)
+    for row in gfp_rows(rng, p, n_rows, n_cols):
+        assert tracker.add(row) == ref.add(row)
+        assert tracker.rank == ref.rank
+        assert tracker.rows() == ref.rows()
+        assert tracker.kernel() == ref.kernel()
+        assert not any(tracker._acc)
+    assert {type(x) for row in tracker.rows() for x in row.values()} <= {int}
+
+
+def test_tracker_sound_after_refused_entry():
+    # 1/5 has no value over Zp:5; a refused row leaves nothing behind.
+    tracker = RankTracker(F5, 3)
+    with pytest.raises(ZeroDivisionError, match="1/5 has no value in Zp:5"):
+        tracker.add((1, Fraction(1, 5), 0))
+    assert tracker.add((1, 0, 0))
+    assert tracker.rows() == [{0: 1}]
+    tracker = span_of([(1, 1, 0)], F5, 3)
+    with pytest.raises(ZeroDivisionError, match="1/5 has no value in Zp:5"):
+        tracker.add((0, 1, "1/5"))
+    assert not any(tracker._acc)
+    assert tracker.add((1, 0, 0))  # clearing column 0 fills in column 1
+    assert tracker.rows() == [{0: 1}, {1: 1}]
+
+
+@pytest.mark.parametrize("F", [QQ, F2, F5], ids=lambda F: F.name())
+def test_tracker_refuses_vector_longer_than_dim(F):
+    tracker = RankTracker(F, 2)
+    with pytest.raises(ValueError, match="length 3 does not fit dimension 2"):
+        tracker.add((1, 0, 1))
+    assert tracker.rank == 0
+    assert tracker.add((0, 1))
+    assert [dense(F, 2, m, w) for m, w in tracker.kernel()] == [(F.one(), F.zero())]
 
 
 def raw_int_rows(rng: random.Random, F: FieldSpec, n_rows: int, n_cols: int) -> list[list]:
