@@ -139,7 +139,8 @@ class ValidationReport(Record):
 
 def check_tables(tables, low: int) -> None:
     """Raise ValueError unless tables is four n x n tables of ints in
-    low..n: 1 for a biquandle, 0 for a partial table (0 is a blank)."""
+    low..n: 1 for a biquandle, 0 for a partial table (0 is a blank).  An
+    int subclass, bool among them, is no entry."""
     if len(tables) != 4:
         raise ValueError("expected four operation tables")
     n = len(tables[0])
@@ -148,8 +149,9 @@ def check_tables(tables, low: int) -> None:
             raise ValueError("operation tables must all be n x n")
         for row in t:
             for v in row:
-                if not isinstance(v, int) or not low <= v <= n:
-                    raise ValueError(f"table entry {v!r} outside {low}..{n}")
+                if type(v) is not int or not low <= v <= n:
+                    raise ValueError(f"table entry {v!r} outside {low}..{n}" if type(v) is int
+                                     else f"table entry {v!r} is not an int")
 
 
 class Biquandle(Record):

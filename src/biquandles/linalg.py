@@ -391,12 +391,24 @@ def row_reduce(M: ExactMatrix, F: FieldSpec) -> RankTracker:
     return tracker
 
 
+def _check_columns(M: ExactMatrix) -> None:
+    """Raise ValueError unless every entry of M lies in columns 0..cols-1
+    (row_reduce trusts them: cohomology feeds it matrices it built)."""
+    for row in M.entries:
+        if row:
+            low, high = min(row), max(row)
+            if low < 0 or high >= M.cols:
+                raise ValueError(f"column {low if low < 0 else high} outside 0..{M.cols - 1}")
+
+
 def rref(M: ExactMatrix, F: FieldSpec) -> tuple[ExactMatrix, list[int]]:
     """Reduced row echelon form of M over F (entries are taken into F).
 
     Returns (R, pivot columns 1-based ascending): the nonzero rows of R come
-    first in pivot order, then zero rows up to M.rows.
+    first in pivot order, then zero rows up to M.rows.  Raises ValueError
+    for an entry outside columns 0..cols-1.
     """
+    _check_columns(M)
     reduced = row_reduce(M, F).rows()
     pivots = [min(row) + 1 for row in reduced]
     reduced += [{} for _ in range(M.rows - len(reduced))]
@@ -413,7 +425,9 @@ def dense(F: FieldSpec, cols: int, m: int, w: dict) -> tuple:
 
 def kernel_basis(M: ExactMatrix, F: FieldSpec) -> list[tuple]:
     """Canonical basis of the right null space of M: the dense form of
-    RankTracker.kernel after eliminating M (see there)."""
+    RankTracker.kernel after eliminating M (see there).  Raises ValueError
+    for an entry outside columns 0..cols-1."""
+    _check_columns(M)
     return [dense(F, M.cols, m, w) for m, w in row_reduce(M, F).kernel()]
 
 

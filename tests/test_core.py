@@ -446,6 +446,8 @@ def test_record_fields_and_errors():
         Biquandle((((1, 1),),) * 4)
     with pytest.raises(ValueError, match="outside"):
         Biquandle((((2,),),) * 4)
+    with pytest.raises(ValueError, match="table entry True is not an int"):
+        Biquandle((((True,),),) * 4)
     with pytest.raises(ValueError, match="n\\^2"):
         Cochain2(FieldSpec(), (1, 2, 3))
     with pytest.raises(ValueError, match="not prime"):

@@ -485,6 +485,18 @@ def test_rank_tracker_mod_p():
     assert tracker.add((0, 1))
 
 
+@pytest.mark.parametrize("F", [QQ, F2, F5], ids=lambda F: F.name())
+@pytest.mark.parametrize("row,column", [({5: 1}, 5), ({-1: 1}, -1), ({0: 1, 2: 3}, 2)])
+def test_columns_outside_the_matrix_are_refused(F, row, column):
+    # {5: 1} once gave pivot [6] over Q and Zp:2 and an IndexError over
+    # Zp:5; {-1: 1} gave pivot [0] over Q and Zp:5 and a negative shift
+    # count over Zp:2
+    M = ExactMatrix(2, 2, [{1: 1}, row])
+    for f in (rref, kernel_basis):
+        with pytest.raises(ValueError, match=rf"column {column} outside 0\.\.1"):
+            f(M, F)
+
+
 def test_ragged_rows_rejected():
     with pytest.raises(ValueError, match="ragged"):
         ExactMatrix.from_rows([[1, 2], [3]], QQ)

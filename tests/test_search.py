@@ -11,7 +11,7 @@ from conftest import relabel
 from biquandles.core import (OpKind, alexander_biquandle,
                              validate_biquandle, write_biquandle)
 from biquandles.search import (CONTRADICTION, PartialBiquandle, TableSearch,
-                               axiom_instances, complete_partial,
+                               _axiom_sides, axiom_instances, complete_partial,
                                enumerate_biquandles, propagate, waiting)
 
 
@@ -206,6 +206,37 @@ def test_search_tree_size_is_pinned(blank_search):
         assert search.nodes == nodes
 
 
+@pytest.mark.parametrize("params,blank_tables,count,nodes",
+                         [((4, 3, 3), (OpKind.UP, OpKind.UPBAR), 8, 277),
+                          ((4, 1, 3), (OpKind.DOWN, OpKind.DOWNBAR), 4, 169)],
+                         ids=["A(4,3,3)", "A(4,1,3)"])
+def test_completion_tree_size_is_pinned(params, blank_tables, count, nodes):
+    # the propagation workload's heaviest completions, unrelabelled
+    P = PartialBiquandle.from_biquandle(alexander_biquandle(*params))
+    for k in blank_tables:
+        P.tables[k] = [[0] * 4 for _ in range(4)]
+    search = TableSearch(P)
+    assert len(search.run()) == count
+    assert search.nodes == nodes
+
+
+def test_axiom_sides_fold_constant_pairs():
+    # A subterm of two instance variables reads one fixed cell and compiles
+    # to it, except as the left operand of a subterm whose right operand
+    # has steps of its own (one such step in each side of 3.iii and 3.vi).
+    for n in range(1, 5):
+        sides, _scratch = _axiom_sides(n)
+        constants = range(4 * n * n, 4 * n * n + n)
+        kept = 0
+        for steps, _out in sides:
+            for i, (_o, x, y, t) in enumerate(steps):
+                if x in constants and y in constants:
+                    kept += 1
+                    assert any(x2 == t and y2 > constants[-1] for _o2, x2, y2, _t2 in steps[i:])
+        assert kept == 4 * n ** 3
+    assert sum(len(steps) for steps, _out in _axiom_sides(4)[0]) == 1600
+
+
 def test_search_leaves_its_input_alone(kishino_T):
     P = PartialBiquandle.from_biquandle(kishino_T)
     for cell in all_cells(4)[:20]:
@@ -358,6 +389,9 @@ def test_enumerate_bounds():
         enumerate_biquandles(5)
     with pytest.raises(ValueError, match="n = 2 exceeds the enumeration limit 1"):
         enumerate_biquandles(2, limit=1)
+    # True once returned the order-1 census
+    with pytest.raises(ValueError, match="n must be an int, got True"):
+        enumerate_biquandles(True)
 
 
 @pytest.mark.parametrize("bad", [-1, 7, 3])
@@ -381,6 +415,26 @@ def test_partial_cell_access_checks_its_elements(a, b):
         with pytest.raises(ValueError, match=rf"elements \({a},{b}\) outside 1\.\.2"):
             access((OpKind.UP, a, b))
     assert P == PartialBiquandle.blank(2)
+
+
+@pytest.mark.parametrize("k", [-1, 4, 7])
+def test_partial_cell_access_checks_its_table(k):
+    # table -1 once wrote the DOWNBAR table, 7 raised a bare IndexError
+    P = PartialBiquandle.blank(2)
+    for access in (lambda cell: P.get(cell), lambda cell: P.set(cell, 2)):
+        with pytest.raises(ValueError, match=f"{k} is not a valid OpKind"):
+            access((k, 1, 1))
+    assert P == PartialBiquandle.blank(2)
+
+
+@pytest.mark.parametrize("entry", [complete_partial, propagate, waiting, TableSearch],
+                         ids=lambda f: f.__name__)
+def test_table_search_refuses_bool_entries(entry):
+    # True once completed to tables of bools, which write_biquandle printed
+    # as "True" and read_biquandle refused
+    P = PartialBiquandle([[[True]] for _ in range(4)])
+    with pytest.raises(ValueError, match="table entry True is not an int"):
+        entry(P)
 
 
 @pytest.mark.parametrize("entry", [complete_partial, propagate, waiting])
