@@ -17,21 +17,22 @@ per free column; kernel_basis is its dense form).  An independence or
 membership test is one RankTracker.add.  The work follows the nonzeros;
 a cocycle matrix is n^3 x n^2 with at most 6 nonzeros per row.
 
-Over GF(p) a stored row is 1 at its pivot, and for p >= 3 a new row is
-reduced in a dense scratch list (the sparse accumulator of Gilbert, Moler
-and Schreiber, SIAM J. Matrix Anal. Appl. 13 (1992)), so a row that
-depends on the stored ones builds no dict.  Over Q the elimination is
-fraction-free (cf. E. H. Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", Math. Comp. 22 (1968)): a
-stored row is a primitive integer row whose pivot entry d is positive,
-and it stands for itself divided by d.  A row with Fraction entries is
-scaled by the lcm of its denominators on entry, and a kernel vector is
-kept as an integer multiple until output, so Fractions are built only
-for the vectors returned: the elimination runs on integers alone, with
-no prime, no reconstruction and nothing to certify.  Over GF(2) a stored
-row is an int with bit c set for column c, so a row update is one XOR
-(cf. M. Albrecht et al., "Algorithm 898", ACM TOMS 37 (2010)); the rows
-and kernel read out are the same dicts as over any other prime.
+Over Q and over GF(p), p >= 3, a new row is reduced in a dense scratch
+list (the sparse accumulator of Gilbert, Moler and Schreiber, SIAM J.
+Matrix Anal. Appl. 13 (1992)), so a row that depends on the stored ones
+builds no dict.  Over GF(p) a stored row is 1 at its pivot.  Over Q the
+elimination is fraction-free (cf. E. H. Bareiss, "Sylvester's identity
+and multistep integer-preserving Gaussian elimination", Math. Comp. 22
+(1968)): a stored row is a primitive integer row whose pivot entry d is
+positive, and it stands for itself divided by d.  A row with Fraction
+entries is scaled by the lcm of its denominators on entry, and a kernel
+vector is kept as an integer multiple until output, so Fractions are
+built only for the vectors returned: the elimination runs on integers
+alone, with no prime, no reconstruction and nothing to certify.  Over
+GF(2) a stored row is an int with bit c set for column c, so a row
+update is one XOR (cf. M. Albrecht et al., "Algorithm 898", ACM TOMS 37
+(2010)); the rows and kernel read out are the same dicts as over any
+other prime.
 """
 
 from __future__ import annotations
@@ -227,9 +228,9 @@ class RankTracker:
     other row's pivot: over GF(p) a row that is 1 at its pivot, over Q a
     primitive integer row with a positive pivot entry, standing for itself
     divided by that entry; over GF(2) an int with bit c set for column c,
-    the pivots the bits of one int.  Over GF(p), p >= 3, the dense list _acc
-    holds the row being reduced, all 0 between calls.  row_reduce feeds it
-    a whole matrix.
+    the pivots the bits of one int.  Over Q and over GF(p), p >= 3, the
+    dense list _acc holds the row being reduced, all 0 between calls.
+    row_reduce feeds it a whole matrix.
     """
 
     def __init__(self, field: FieldSpec, dim: int):
@@ -237,7 +238,7 @@ class RankTracker:
         self.dim = dim
         self._rows: dict[int, dict | int] = {}  # pivot column -> reduced row
         self._pivots = 0  # over GF(2): bit c set for each pivot column c
-        self._acc = [0] * dim if field.p not in (None, 2) else None  # the row being reduced
+        self._acc = [0] * dim if field.p != 2 else None  # the row being reduced
 
     @property
     def rank(self) -> int:
@@ -350,22 +351,51 @@ class RankTracker:
         return True
 
     def _insert_integer(self, items) -> bool:
-        """_insert over Q: the same steps on integer rows.  A row of ints
-        goes in as it is, any other row times the lcm of its denominators,
-        and clearing column c of w with the row r, r[c] = d > 0, is
-        w = (d * w - w[c] * r) / gcd(d, w[c])."""
-        w = {c: x for c, x in items if x}
-        if not all(type(x) is int for x in w.values()):
-            coerce = self.field.coerce
-            w = {c: y for c, x in w.items() if (y := coerce(x))}
-            m = lcm(*(x.denominator for x in w.values()))
-            w = {c: x.numerator * (m // x.denominator) for c, x in w.items()}
-        rows = self._rows
-        for c in [c for c in w if c in rows]:
+        """_insert over Q: the same steps in _acc on integer entries.  A row
+        of ints goes in as it is, any other row times the lcm of its
+        denominators, and clearing column c with the row r, r[c] = d > 0,
+        is acc = (d * acc - acc[c] * r) / gcd(d, acc[c])."""
+        coerce = self.field.coerce
+        acc, rows = self._acc, self._rows
+        touched, hits, exact = [], [], True
+        try:
+            for c, x in items:
+                if x:
+                    if type(x) is not int:
+                        x, exact = coerce(x), False
+                    acc[c] = x
+                    touched.append(c)
+                    if c in rows:
+                        hits.append(c)
+        except BaseException:  # a refused entry: leave acc all 0, as between calls
+            for c in touched:
+                acc[c] = 0
+            raise
+        if not exact:  # ints and Fractions: scale to integers in place
+            m = lcm(*(acc[c].denominator for c in touched))
+            for c in touched:
+                acc[c] = acc[c].numerator * (m // acc[c].denominator)
+        # As over GF(p), one pass clears every pivot: acc[c] still holds the
+        # row's entry, scaled, when the row with pivot c clears it.
+        for c in hits:
             row = rows[c]
-            d, f = row[c], w[c]
+            d, f = row[c], acc[c]
             g = gcd(d, f)
-            _combine(d // g, w, f // g, row)
+            if g != d:  # once per column: one that cancelled and filled again is listed twice
+                a = d // g
+                for k in dict.fromkeys(touched):
+                    acc[k] *= a
+            b = f // g
+            for k, x in row.items():
+                y = acc[k]
+                if not y:
+                    touched.append(k)
+                acc[k] = y - b * x
+        w = {}
+        for c in touched:  # gather, leaving acc all 0
+            if y := acc[c]:
+                w[c] = y
+                acc[c] = 0
         if not w:
             return False
         w = primitive(w)
@@ -391,9 +421,11 @@ def row_reduce(M: ExactMatrix, F: FieldSpec) -> RankTracker:
     return tracker
 
 
-def _check_columns(M: ExactMatrix) -> None:
-    """Raise ValueError unless every entry of M lies in columns 0..cols-1
-    (row_reduce trusts them: cohomology feeds it matrices it built)."""
+def _check_shape(M: ExactMatrix) -> None:
+    """Raise ValueError unless M has rows entry rows, every entry in columns
+    0..cols-1 (row_reduce trusts them: cohomology feeds it matrices it built)."""
+    if len(M.entries) != M.rows:
+        raise ValueError(f"{len(M.entries)} entry rows in a matrix of {M.rows} rows")
     for row in M.entries:
         if row:
             low, high = min(row), max(row)
@@ -406,9 +438,9 @@ def rref(M: ExactMatrix, F: FieldSpec) -> tuple[ExactMatrix, list[int]]:
 
     Returns (R, pivot columns 1-based ascending): the nonzero rows of R come
     first in pivot order, then zero rows up to M.rows.  Raises ValueError
-    for an entry outside columns 0..cols-1.
+    unless M has M.rows entry rows, each inside columns 0..cols-1.
     """
-    _check_columns(M)
+    _check_shape(M)
     reduced = row_reduce(M, F).rows()
     pivots = [min(row) + 1 for row in reduced]
     reduced += [{} for _ in range(M.rows - len(reduced))]
@@ -426,12 +458,15 @@ def dense(F: FieldSpec, cols: int, m: int, w: dict) -> tuple:
 def kernel_basis(M: ExactMatrix, F: FieldSpec) -> list[tuple]:
     """Canonical basis of the right null space of M: the dense form of
     RankTracker.kernel after eliminating M (see there).  Raises ValueError
-    for an entry outside columns 0..cols-1."""
-    _check_columns(M)
+    unless M has M.rows entry rows, each inside columns 0..cols-1."""
+    _check_shape(M)
     return [dense(F, M.cols, m, w) for m, w in row_reduce(M, F).kernel()]
 
 
 def matvec(M: ExactMatrix, v, F: FieldSpec):
+    """The product M v over F; ValueError unless v has M.cols entries."""
+    if len(v) != M.cols:
+        raise ValueError(f"a vector of length {len(v)} for a matrix of {M.cols} columns")
     out = []
     for row in M.entries:
         s = F.zero()

@@ -2,6 +2,7 @@ import functools
 import math
 import pathlib
 import random
+from math import gcd, lcm
 
 import pytest
 
@@ -9,7 +10,7 @@ from biquandles.cohomology import Cochain2
 from biquandles.core import (Biquandle, BlockConvention, Record, alexander_biquandle,
                              read_biquandle, setfield)
 from biquandles.gauss import parse_gauss_code
-from biquandles.linalg import FieldSpec, RankTracker, _axpy
+from biquandles.linalg import FieldSpec, RankTracker, _axpy, _combine, primitive
 from biquandles.search import PartialBiquandle, TableSearch
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
@@ -226,12 +227,15 @@ def reference_scan(T: Biquandle, staging, arcs: int) -> list[tuple[int, ...]]:
 
 
 class ReferenceTracker(RankTracker):
-    """A RankTracker over GF(p), p >= 3, that reduces each row as a dict
-    by one _axpy per stored pivot: the reference the dense accumulator
-    of RankTracker._insert is checked against."""
+    """A RankTracker over Q or GF(p), p >= 3, that reduces each row as a
+    dict, by one _combine or one _axpy per stored pivot: the reference the
+    dense accumulator of RankTracker._insert and _insert_integer is checked
+    against."""
 
     def _insert(self, items) -> bool:
         p = self.field.p
+        if p is None:
+            return self._insert_integer(items)
         coerce = self.field.coerce  # an int goes into GF(p) by one remainder
         w = {c: y for c, x in items if x and (y := x % p if type(x) is int else coerce(x))}
         rows = self._rows
@@ -250,6 +254,37 @@ class ReferenceTracker(RankTracker):
             f = row.get(lead)
             if f:
                 _axpy(row, f, w, p)
+        rows[lead] = w
+        return True
+
+    def _insert_integer(self, items) -> bool:
+        """_insert over Q: the same steps on integer rows.  A row of ints
+        goes in as it is, any other row times the lcm of its denominators,
+        and clearing column c of w with the row r, r[c] = d > 0, is
+        w = (d * w - w[c] * r) / gcd(d, w[c])."""
+        w = {c: x for c, x in items if x}
+        if not all(type(x) is int for x in w.values()):
+            coerce = self.field.coerce
+            w = {c: y for c, x in w.items() if (y := coerce(x))}
+            m = lcm(*(x.denominator for x in w.values()))
+            w = {c: x.numerator * (m // x.denominator) for c, x in w.items()}
+        rows = self._rows
+        for c in [c for c in w if c in rows]:
+            row = rows[c]
+            d, f = row[c], w[c]
+            g = gcd(d, f)
+            _combine(d // g, w, f // g, row)
+        if not w:
+            return False
+        w = primitive(w)
+        lead = min(w)
+        a = w[lead]
+        for k, row in rows.items():
+            f = row.get(lead)
+            if f:
+                g = gcd(a, f)
+                _combine(a // g, row, f // g, w)
+                rows[k] = primitive(row)
         rows[lead] = w
         return True
 

@@ -146,11 +146,11 @@ def test_alexander_h2_dimensions_over_q(n, s, t, reduced, unreduced):
 
 
 def test_elimination_work_pinned(monkeypatch):
-    # Entry updates made by the elimination in each field.  Over Q each
-    # linalg._combine(a, w, b, row) makes len(row).  Over GF(p), p >= 3, a
-    # stored row read by its pivot to clear that pivot from the row being
-    # reduced makes len(row) in the accumulator, and each
-    # linalg._axpy(w, f, row, p) into a stored row makes len(row).  Feeding
+    # Entry updates made by the elimination in each field.  Over Q and over
+    # GF(p), p >= 3, a stored row read by its pivot to clear that pivot from
+    # the row being reduced makes len(row) in the accumulator, and each
+    # update of a stored row by a new one, linalg._combine(a, row, b, w)
+    # over Q and linalg._axpy(row, f, w, p) over GF(p), makes len(w).  Feeding
     # the cocycle rows top to bottom instead of by descending leading column
     # fills the stored rows in: 486,973 over Q on A(13,2,3), 13,688,785
     # (thirty times as long) on A(23,2,3).  Over GF(2) a row update is an
@@ -190,7 +190,7 @@ def test_elimination_work_pinned(monkeypatch):
                 m.setattr(linalg, "_combine", counted(linalg._combine, 3))
             else:
                 m.setattr(linalg, "_axpy", counted(linalg._axpy, 2))
-                m.setattr(RankTracker, "__init__", init_counted)
+            m.setattr(RankTracker, "__init__", init_counted)
             assert reduced_cohomology_basis(A, F) == []
         assert updates == pin, (A.n, F.name())
 

@@ -204,6 +204,17 @@ def gfp_rows(rng: random.Random, p: int, n_rows: int, n_cols: int) -> list[list]
     return rows
 
 
+def assert_tracks_reference(tracker: RankTracker, ref: ReferenceTracker, v) -> None:
+    """Add v to both trackers; they must answer alike and then hold the same
+    rows, rank and kernel, with the tracker's accumulator all 0."""
+    assert tracker.add(v) == ref.add(v)
+    assert tracker._rows == ref._rows
+    assert tracker.rank == ref.rank
+    assert tracker.rows() == ref.rows()
+    assert tracker.kernel() == ref.kernel()
+    assert not any(tracker._acc)
+
+
 @pytest.mark.parametrize("p", [3, 5, 13, 2 ** 61 - 1])
 @pytest.mark.parametrize("seed", range(4))
 def test_accumulator_matches_dict_reference(p, seed):
@@ -215,11 +226,7 @@ def test_accumulator_matches_dict_reference(p, seed):
     n_rows, n_cols = rng.randint(30, 60), rng.randint(10, 30)
     tracker, ref = RankTracker(F, n_cols), ReferenceTracker(F, n_cols)
     for row in gfp_rows(rng, p, n_rows, n_cols):
-        assert tracker.add(row) == ref.add(row)
-        assert tracker.rank == ref.rank
-        assert tracker.rows() == ref.rows()
-        assert tracker.kernel() == ref.kernel()
-        assert not any(tracker._acc)
+        assert_tracks_reference(tracker, ref, row)
     assert {type(x) for row in tracker.rows() for x in row.values()} <= {int}
 
 
@@ -235,6 +242,84 @@ def test_tracker_sound_after_refused_entry():
         tracker.add((0, 1, "1/5"))
     assert not any(tracker._acc)
     assert tracker.add((1, 0, 0))  # clearing column 0 fills in column 1
+    assert tracker.rows() == [{0: 1}, {1: 1}]
+
+
+def q_rows(rng: random.Random, n_rows: int, n_cols: int) -> list[list]:
+    """Random rows over Q spanning at most n_cols - 2 dimensions, so the
+    stored primitive rows have free columns and pivot entries other than
+    1: sparse integer base rows, then integer combinations of them, some
+    of them divided into Fractions or 'a/b' strings, and zero rows."""
+    base = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 5, 6)) for _ in range(n_cols)]
+            for _ in range(rng.randint(1, n_cols - 2))]
+    rows: list[list] = []
+    for _ in range(n_rows):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append([0] * n_cols)
+            continue
+        row = [0] * n_cols
+        for b in rng.sample(base, rng.randint(1, min(3, len(base)))):
+            f = rng.choice((-3, -2, -1, 1, 2, 4))
+            row = [x + f * y for x, y in zip(row, b)]
+        if kind < 0.2:
+            row = [Fraction(x, 6) for x in row]
+        elif kind < 0.25:
+            row = [f"{x}/4" if x else 0 for x in row]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_integer_accumulator_matches_dict_reference(seed):
+    # Over Q the tracker reduces each row in the same dense scratch list,
+    # scaling it by d / gcd(d, f) before it subtracts a stored row whose
+    # pivot entry is d; after every add it must hold what the dict
+    # elimination holds.
+    rng = random.Random(3400 + seed)
+    n_rows, n_cols = rng.randint(30, 60), rng.randint(6, 20)
+    tracker, ref = RankTracker(QQ, n_cols), ReferenceTracker(QQ, n_cols)
+    pivot_entries = set()
+    for row in q_rows(rng, n_rows, n_cols):
+        assert_tracks_reference(tracker, ref, row)
+        pivot_entries |= {r[lead] for lead, r in tracker._rows.items()}
+    assert max(pivot_entries) > 1
+    assert {type(x) for row in tracker._rows.values() for x in row.values()} <= {int}
+
+
+def test_integer_accumulator_scales_a_refilled_column_once():
+    # Adding v clears pivot 0 (column 4 cancels to 0), then pivot 1
+    # (column 4 fills again, so it is listed twice among the touched
+    # columns), then pivot 2, whose entry 2 scales the row by 2 first.
+    tracker, ref = RankTracker(QQ, 5), ReferenceTracker(QQ, 5)
+    for v in ((1, 0, 0, 0, 1), (0, 1, 0, 0, 1), (0, 0, 2, 1, 0), (1, -1, 1, 0, 1)):
+        assert_tracks_reference(tracker, ref, v)
+    assert tracker._rows == {0: {0: 1, 4: 1}, 1: {1: 1, 4: 1},
+                             2: {2: 1, 4: 1}, 3: {3: 1, 4: -2}}
+
+
+def test_integer_accumulator_takes_a_late_fraction():
+    # add passes a one-shot enumerate: the Fraction and the string come
+    # after two ints are already in the accumulator, and the whole row is
+    # scaled by 6.
+    tracker, ref = RankTracker(QQ, 4), ReferenceTracker(QQ, 4)
+    for v in ((0, 2, 0, 1), [1, 2, Fraction(1, 3), "1/2"], (1, 0, 0, 0)):
+        assert_tracks_reference(tracker, ref, v)
+    assert tracker.rows() == [{0: 1}, {1: 1, 3: Fraction(1, 2)}, {2: 1, 3: Fraction(-3, 2)}]
+
+
+def test_integer_accumulator_sound_after_refused_entry():
+    # A refused entry raises after earlier entries are in the accumulator;
+    # it leaves the accumulator all 0 and the stored rows as they were.
+    tracker = span_of([(1, 1)], QQ, 2)
+    with pytest.raises(ValueError, match="Invalid literal for Fraction: 'x'"):
+        tracker.add([1, "x"])
+    assert not any(tracker._acc)
+    with pytest.raises(ZeroDivisionError):
+        tracker.add(["1/0"])
+    assert not any(tracker._acc)
+    assert tracker.rows() == [{0: 1, 1: 1}]
+    assert tracker.add((1, 0))
     assert tracker.rows() == [{0: 1}, {1: 1}]
 
 
@@ -495,6 +580,26 @@ def test_columns_outside_the_matrix_are_refused(F, row, column):
     for f in (rref, kernel_basis):
         with pytest.raises(ValueError, match=rf"column {column} outside 0\.\.1"):
             f(M, F)
+
+
+@pytest.mark.parametrize("F", [QQ, F2, F5], ids=lambda F: F.name())
+@pytest.mark.parametrize("rows", [1, 3])
+def test_entry_rows_must_match_row_count(F, rows):
+    # rows=1 once gave an rref with two entry rows and pivots [1, 2], a
+    # rank above the row count
+    M = ExactMatrix(rows, 2, [{0: 1}, {1: 1}])
+    for f in (rref, kernel_basis):
+        with pytest.raises(ValueError, match=f"2 entry rows in a matrix of {rows} rows"):
+            f(M, F)
+
+
+@pytest.mark.parametrize("v", [(1,), (1, 0, 1)])
+def test_matvec_refuses_vector_of_wrong_length(v):
+    # (1,) once raised a bare IndexError; (1, 0, 1) was taken silently
+    M = ExactMatrix(1, 2, [{1: 1}])
+    with pytest.raises(ValueError, match=f"length {len(v)} for a matrix of 2 columns"):
+        matvec(M, v, QQ)
+    assert matvec(M, (1, 3), QQ) == (3,)
 
 
 def test_ragged_rows_rejected():
