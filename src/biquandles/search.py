@@ -17,8 +17,9 @@ Two searches run on it:
                      the unknowns and the equational axioms (1 and 3) the
                      equations, one per instance.  Every blocked side is
                      watched until it completes, so a completed table
-                     satisfies all of them, and only the existential
-                     axioms (2 and 4) are left to check there;
+                     satisfies all of them.  Axiom 4 is propagated
+                     too, as 2n clauses (``_kink_clauses``), so only
+                     axiom 2 is left to check at a complete table;
   the coloring oracle (``coloring.enumerate_colorings_oracle``): the table
                      cells are known constants, the semi-arcs the unknowns,
                      and the crossing relations the equations.
@@ -262,8 +263,8 @@ def _axiom_sides(n: int):
     k*n*n + (a-1)*n + (b-1), not to a step.  As the left operand of a
     subterm whose right operand compiles to steps it keeps its step, so
     the side still reads that cell first and waits where it did (folding
-    it too gives the same tables, but 73 nodes for the order-2 census, not
-    67).
+    it too gives the same tables, but 1,324 nodes for the order-3 census,
+    not 1,180).
     """
     first_constant = 4 * n * n
 
@@ -280,11 +281,26 @@ def _axiom_sides(n: int):
                           for _eq_id, lhs, rhs, vals in axiom_instances(n)], n, first_constant + n)
 
 
+@lru_cache(maxsize=8)
+def _kink_clauses(n: int):
+    """Axiom 4 as 2n clauses, the two of core.kink_witnesses per element
+    a: some candidate (slot, value, slot, value) must hold both values.
+    Candidate x of 4.i-ii is down(a,x) = x and up(x,a) = a, candidate y
+    of 4.iii-iv upbar(a,y) = y and downbar(y,a) = a."""
+    m = n * n
+    r = range(1, n + 1)
+    return tuple(clause for a in r for clause in
+                 (tuple((m + (a - 1) * n + x - 1, x, (x - 1) * n + a - 1, a) for x in r),
+                  tuple((2 * m + (a - 1) * n + y - 1, y, 3 * m + (y - 1) * n + a - 1, a)
+                        for y in r)))
+
+
 class TableSearch(Engine):
     """Every valid completion of a partial table, by propagation and
-    branching on the most-watched blank cell; run() returns them, and
-    nodes counts the propagations (the root and one per branch tried).
-    Raises ValueError unless P is four n x n tables of ints in 0..n."""
+    branching on the most-watched blank cell; run() returns them.  nodes
+    counts the root and one per branch value tried; the fills axiom 4
+    forces (_witness) are no nodes.  Raises ValueError unless P is four
+    n x n tables of ints in 0..n."""
 
     def __init__(self, P: PartialBiquandle):
         check_tables(P.tables, 0)
@@ -293,6 +309,7 @@ class TableSearch(Engine):
         values = [v for t in P.tables for row in t for v in row]
         super().__init__(n, values + list(range(1, n + 1)) + [0] * scratch, sides)
         self.cells = len(values)
+        self.clauses = _kink_clauses(n)
         self.nodes = 0
         self.found: list[Biquandle] = []
 
@@ -300,7 +317,10 @@ class TableSearch(Engine):
         """All valid completions, sorted by serialized matrix."""
         self.nodes = 1
         if self.start():
-            self._descend()
+            mark = len(self.trail)
+            if self._witness():
+                self._descend()
+            self.undo(mark)
         self.found.sort(key=write_biquandle)
         return self.found
 
@@ -316,9 +336,36 @@ class TableSearch(Engine):
             mark = len(self.trail)
             self.nodes += 1
             self.assign(cell, v)
-            if self.propagate():
+            if self.propagate() and self._witness():
                 self._descend()
             self.undo(mark)
+
+    def _witness(self) -> bool:
+        """Unit propagation of axiom 4 at a propagated node, to the
+        fixpoint: False when a clause has no live candidate (each cell
+        blank or holding its value) or a forced fill contradicts.  A clause
+        with one live candidate fills it, and every clause is swept again."""
+        val = self.val
+        for clause in self.clauses:
+            live = None
+            for s, v, t, w in clause:
+                x, y = val[s], val[t]
+                if x == v and y == w:
+                    break  # satisfied
+                if (not x or x == v) and (not y or y == w):
+                    if live:
+                        break
+                    live = s, v, t, w
+            else:
+                if not live:
+                    return False
+                s, v, t, w = live
+                if not val[s]:
+                    self.assign(s, v)
+                if not val[t]:
+                    self.assign(t, w)
+                return self.propagate() and self._witness()
+        return True
 
     def _branch_cell(self) -> int:
         """The blank cell with the most sides waiting on it, ties to the
@@ -384,6 +431,8 @@ def enumerate_biquandles(n: int, limit: int = ENUMERATION_LIMIT) -> list[Biquand
     """Every biquandle on {1..n}, sorted by serialized matrix."""
     if type(n) is not int:
         raise ValueError(f"n must be an int, got {n!r}")
+    if type(limit) is not int:
+        raise ValueError(f"limit must be an int, got {limit!r}")
     if n < 1:
         raise ValueError("n must be positive")
     if n > limit:

@@ -325,7 +325,7 @@ def _finished_blank_search(n: int) -> LeafSearch:
 @pytest.fixture(scope="session")
 def blank_search():
     """blank_search(n): a finished LeafSearch of the blank order-n table,
-    run once per order for the whole session (order 4 takes about ten
+    run once per order for the whole session (order 4 takes about four
     seconds).  Its found, leaves and nodes are shared, so read only."""
     return functools.cache(_finished_blank_search)
 

@@ -8,11 +8,12 @@ import pytest
 
 from conftest import relabel
 
-from biquandles.core import (OpKind, alexander_biquandle,
+from biquandles.core import (Biquandle, OpKind, alexander_biquandle, kink_witnesses,
                              validate_biquandle, write_biquandle)
 from biquandles.search import (CONTRADICTION, PartialBiquandle, TableSearch,
-                               _axiom_sides, axiom_instances, complete_partial,
-                               enumerate_biquandles, propagate, waiting)
+                               _axiom_sides, _kink_clauses, axiom_instances,
+                               complete_partial, enumerate_biquandles, propagate,
+                               waiting)
 
 
 def all_cells(n):
@@ -198,17 +199,18 @@ def test_incremental_ratings_match_full_sweep(kishino_T, blank_tables):
 
 def test_search_tree_size_is_pinned(blank_search):
     # Nodes are propagations: the root and one per branch value tried.
-    # The counts follow from the branch rule: a change of rule changes
-    # them, and so must change this pin.
-    for n, count, nodes in [(1, 1, 3), (2, 2, 67), (3, 36, 2761), (4, 744, 194521)]:
+    # The counts follow from the branch rule and from what is propagated
+    # (axioms 1 and 3, and axiom 4's kink witnesses): a change of either
+    # changes them, and so must change this pin.
+    for n, count, nodes in [(1, 1, 1), (2, 2, 31), (3, 36, 1180), (4, 744, 102373)]:
         search = blank_search(n)
         assert len(search.found) == count
         assert search.nodes == nodes
 
 
 @pytest.mark.parametrize("params,blank_tables,count,nodes",
-                         [((4, 3, 3), (OpKind.UP, OpKind.UPBAR), 8, 277),
-                          ((4, 1, 3), (OpKind.DOWN, OpKind.DOWNBAR), 4, 169)],
+                         [((4, 3, 3), (OpKind.UP, OpKind.UPBAR), 8, 121),
+                          ((4, 1, 3), (OpKind.DOWN, OpKind.DOWNBAR), 4, 53)],
                          ids=["A(4,3,3)", "A(4,1,3)"])
 def test_completion_tree_size_is_pinned(params, blank_tables, count, nodes):
     # the propagation workload's heaviest completions, unrelabelled
@@ -218,6 +220,81 @@ def test_completion_tree_size_is_pinned(params, blank_tables, count, nodes):
     search = TableSearch(P)
     assert len(search.run()) == count
     assert search.nodes == nodes
+
+
+def test_kink_clauses_match_kink_witnesses(kishino_T, blank_search):
+    # On any complete table the live candidates of each clause are the
+    # witnesses core.kink_witnesses gives: its xs for 4.i-ii, its ys for
+    # 4.iii-iv.  Two of the four cells a candidate reads have row and
+    # column swapped (up(x,a), downbar(y,a)), so a table that is no
+    # biquandle, with planted witnesses, checks the layout too.
+    rng = random.Random("kink clauses")
+    tables = [*blank_search(3).found, kishino_T]
+    for n in range(1, 6):
+        for _ in range(8):
+            t = [[[rng.randint(1, n) for _b in range(n)] for _a in range(n)] for _k in range(4)]
+            for _ in range(n):
+                a, x, y = (rng.randint(1, n) for _ in range(3))
+                t[OpKind.DOWN][a - 1][x - 1], t[OpKind.UP][x - 1][a - 1] = x, a
+                t[OpKind.UPBAR][a - 1][y - 1], t[OpKind.DOWNBAR][y - 1][a - 1] = y, a
+            tables.append(Biquandle.from_tables(*t))
+    sizes = set()
+    for T in tables:
+        val = [v for t in T.tables for row in t for v in row]
+        clauses = _kink_clauses(T.n)
+        assert len(clauses) == 2 * T.n
+        for a, (xs, ys) in kink_witnesses(T).items():
+            for clause, witnesses in zip(clauses[2 * a - 2:2 * a], (xs, ys)):
+                assert len(clause) == T.n
+                assert tuple(v for s, v, t, w in clause
+                             if val[s] == v and val[t] == w) == witnesses
+                sizes.add(len(witnesses))
+    assert {0, 1, 2} <= sizes
+
+
+def census_agreeing(census, P):
+    """The census tables that agree with every filled cell of P, sorted."""
+    filled = [(k, a, b, v) for k, t in enumerate(P.tables)
+              for a, row in enumerate(t) for b, v in enumerate(row) if v]
+    return sorted((T for T in census
+                   if all(T.tables[k][a][b] == v for k, a, b, v in filled)),
+                  key=write_biquandle)
+
+
+def test_completions_equal_the_agreeing_census_tables(blank_search):
+    # Axiom 4 prunes and forces fills during the search; whatever it cuts,
+    # the completions of P must be exactly the census tables that agree
+    # with P's filled cells.  Every third P has a filled cell changed to a
+    # wrong value, and every third one has, for some a, one cell of each
+    # kink candidate of a clause holding a wrong value, so that no
+    # witness is left and the root is pruned.
+    rng = random.Random("witness soundness")
+    witness_pruned = 0
+    for n, count, most in [(2, 60, 16), (3, 150, 36), (4, 190, 56)]:
+        census = blank_search(n).found
+        cells = all_cells(n)
+        for i in range(count):
+            P = PartialBiquandle.from_biquandle(rng.choice(census))
+            for cell in rng.sample(cells, rng.randint(1, most)):
+                P.set(cell, 0)
+            if i % 3 == 1:
+                filled = [c for c in cells if P.get(c)]
+                if filled:
+                    cell = rng.choice(filled)
+                    P.set(cell, rng.choice([v for v in range(1, n + 1) if v != P.get(cell)]))
+            elif i % 3 == 2:
+                a = rng.randint(1, n)
+                down, up = rng.choice([(OpKind.DOWN, OpKind.UP), (OpKind.UPBAR, OpKind.DOWNBAR)])
+                for x in range(1, n + 1):
+                    cell, value = rng.choice([((down, a, x), x), ((up, x, a), a)])
+                    P.set(cell, rng.choice([v for v in range(1, n + 1) if v != value]))
+            search = TableSearch(P)
+            assert search.run() == census_agreeing(census, P)
+            if i % 3 == 2:
+                assert search.found == [] and search.nodes == 1
+                witness_pruned += TableSearch(P).start()
+    # some roots pass axioms 1 and 3 and are pruned by axiom 4 alone
+    assert witness_pruned > 5
 
 
 def test_axiom_sides_fold_constant_pairs():
@@ -392,6 +469,11 @@ def test_enumerate_bounds():
     # True once returned the order-1 census
     with pytest.raises(ValueError, match="n must be an int, got True"):
         enumerate_biquandles(True)
+    # None and "4" once raised a bare TypeError from n > limit, True was
+    # named as the limit, and 2.5 was accepted
+    for limit in (None, "4", True, 2.5):
+        with pytest.raises(ValueError, match=rf"limit must be an int, got {limit!r}"):
+            enumerate_biquandles(2, limit=limit)
 
 
 @pytest.mark.parametrize("bad", [-1, 7, 3])
